@@ -23,7 +23,8 @@
 //   --knots=N       FPF knots per entry               (default 12)
 //   --probes=N      probes per timed rep              (default 1000000)
 //   --batch=N       probes per EstimateBatch call     (default 4096)
-//   --reps=N        timed repetitions, best-of-N      (default 3)
+//   --reps=N        timed repetitions; the JSON reports the best,
+//                   median and slowest batch rate     (default 3)
 //   --publishers=N  concurrent republishing threads   (default 1)
 //   --seed=S        RNG seed                          (default 42)
 //   --json=PATH     output JSON path        (default BENCH_serving.json)
@@ -59,6 +60,7 @@
 #include "catalog/stats_catalog.h"
 #include "epfis/est_io.h"
 #include "util/arg_parser.h"
+#include "util/numa.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 
@@ -70,6 +72,21 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+// The "model name" line of /proc/cpuinfo, or "unknown".
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
 }
 
 std::string IndexName(size_t i) {
@@ -227,6 +244,7 @@ int main(int argc, char** argv) {
 
   std::vector<CatalogEstimate> batched(probes_n);
   double batch_s = 0;
+  std::vector<double> batch_rep_s;  // Every rep, for the spread.
   for (int r = 0; r < reps; ++r) {
     auto t0 = std::chrono::steady_clock::now();
     for (size_t off = 0; off < probes_n; off += batch_n) {
@@ -241,6 +259,7 @@ int main(int argc, char** argv) {
       }
     }
     double s = SecondsSince(t0);
+    batch_rep_s.push_back(s);
     if (r == 0 || s < batch_s) batch_s = s;
   }
 
@@ -432,8 +451,15 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write " << json_path << '\n';
     return 1;
   }
+  const NumaTopology& topo = NumaTopology::Get();
+  std::sort(batch_rep_s.begin(), batch_rep_s.end());
   json << "{\n"
        << "  \"bench\": \"est_io_serving\",\n"
+       << "  \"cpu_model\": \"" << CpuModel() << "\",\n"
+       << "  \"cpus\": " << topo.num_cpus() << ",\n"
+       << "  \"numa_nodes\": " << topo.num_nodes() << ",\n"
+       << "  \"build_type\": \"" << EPFIS_BENCH_BUILD_TYPE << "\",\n"
+       << "  \"reps\": " << reps << ",\n"
        << "  \"indexes\": " << indexes << ",\n"
        << "  \"knots\": " << knots << ",\n"
        << "  \"probes\": " << probes_n << ",\n"
@@ -445,6 +471,11 @@ int main(int argc, char** argv) {
        << "  \"mmap_batch_seconds\": " << mmap_batch_s << ",\n"
        << "  \"by_name_estimates_per_s\": " << by_name_rate << ",\n"
        << "  \"batch_estimates_per_s\": " << batch_rate << ",\n"
+       << "  \"batch_estimates_per_s_median\": "
+       << static_cast<double>(probes_n) / batch_rep_s[batch_rep_s.size() / 2]
+       << ",\n"
+       << "  \"batch_estimates_per_s_min\": "
+       << static_cast<double>(probes_n) / batch_rep_s.back() << ",\n"
        << "  \"mmap_batch_estimates_per_s\": " << mmap_rate << ",\n"
        << "  \"batch_speedup\": " << by_name_s / batch_s << ",\n"
        << "  \"bit_identical_single_vs_batch\": "

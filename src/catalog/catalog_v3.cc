@@ -7,6 +7,7 @@
 
 #include "util/crc32c.h"
 #include "util/fault.h"
+#include "util/formulas.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define EPFIS_CATALOG_V3_MMAP 1
@@ -460,6 +461,8 @@ Result<std::shared_ptr<const CatalogSnapshot>> OpenCatalogSnapshotV3(
     entry.view.table_records = fixed.table_records;
     entry.view.pages_accessed = fixed.pages_accessed;
     entry.view.clustering = fixed.clustering;
+    entry.view.cardenas_log_q =
+        CardenasLogQ(static_cast<double>(fixed.table_pages));
     if (parsed_entry.knot_count >= 2) {
       // The zero-copy read: knots are interpreted in place. ParseV3
       // verified 8-byte alignment and bounds; the CRC verified content.

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <string>
-#include <vector>
 
 #include "catalog/stats_catalog.h"
 #include "obs/metrics.h"
@@ -52,23 +50,29 @@ struct EstIoMetrics {
   }
 };
 
-// Written so NaN fails every check (NaN comparisons are false).
-Status ValidateScanSpec(const ScanSpec& scan) {
+// Why `scan` is out of domain, or null when it is valid. Written so NaN
+// fails every check (NaN comparisons are false).
+const char* ScanSpecError(const ScanSpec& scan) {
   if (!(scan.sigma >= 0.0 && scan.sigma <= 1.0)) {
-    EstIoMetrics::Get().rejected.Increment();
-    return Status::InvalidArgument("Est-IO: sigma must be in [0, 1]");
+    return "Est-IO: sigma must be in [0, 1]";
   }
   if (!(scan.sargable_selectivity > 0.0 &&
         scan.sargable_selectivity <= 1.0)) {
-    EstIoMetrics::Get().rejected.Increment();
-    return Status::InvalidArgument(
-        "Est-IO: sargable_selectivity must be in (0, 1]");
+    return "Est-IO: sargable_selectivity must be in (0, 1]";
   }
-  if (scan.buffer_pages == 0) {
-    EstIoMetrics::Get().rejected.Increment();
-    return Status::InvalidArgument("Est-IO: buffer_pages must be >= 1");
-  }
-  return Status::Ok();
+  if (scan.buffer_pages == 0) return "Est-IO: buffer_pages must be >= 1";
+  return nullptr;
+}
+
+// InvalidArgument for a rejected scan spec, counted in est_io.rejected.
+Status RejectScanSpec(const char* error) {
+  EstIoMetrics::Get().rejected.Increment();
+  return Status::InvalidArgument(error);
+}
+
+Status ValidateScanSpec(const ScanSpec& scan) {
+  const char* error = ScanSpecError(scan);
+  return error == nullptr ? Status::Ok() : RejectScanSpec(error);
 }
 
 // NaN fails the > checks, so it is rejected along with non-positives.
@@ -85,14 +89,36 @@ Status ValidateOptions(const EstIoOptions& options) {
   return Status::Ok();
 }
 
+// The formula-path counters, tallied in plain integers by
+// EstimatePagesCore and published once per entry-point call by Flush: a
+// batch pays one registry add per counter instead of several per probe,
+// and the totals are the same as bumping each counter in place.
+struct EstimateTally {
+  uint64_t estimates = 0;
+  uint64_t correction_applied = 0;
+  uint64_t sargable_reductions = 0;
+  uint64_t clamped = 0;
+
+  void Flush() const {
+    EstIoMetrics& metrics = EstIoMetrics::Get();
+    if (estimates != 0) metrics.estimates.Increment(estimates);
+    if (correction_applied != 0) {
+      metrics.correction_applied.Increment(correction_applied);
+    }
+    if (sargable_reductions != 0) {
+      metrics.sargable_reductions.Increment(sargable_reductions);
+    }
+    if (clamped != 0) metrics.clamped.Increment(clamped);
+  }
+};
+
 // The one evaluation core (paper §4.3 steps 4-7). Every public entry
 // point — legacy wrapper, validating single-probe, catalog-backed, and
 // batch — funnels through this function over an IndexStatsView, which is
 // what makes their results bit-identical by construction.
 double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
-                         const EstIoOptions& options) {
-  EstIoMetrics& metrics = EstIoMetrics::Get();
-  metrics.estimates.Increment();
+                         const EstIoOptions& options, EstimateTally& tally) {
+  ++tally.estimates;
 
   double sigma = Clamp(scan.sigma, 0.0, 1.0);
   double s_sarg = Clamp(scan.sargable_selectivity, 0.0, 1.0);
@@ -128,8 +154,10 @@ double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
     double nu = (phi >= options.nu_threshold * sigma) ? 1.0 : 0.0;
     double damping =
         std::min(1.0, phi / (options.correction_divisor * sigma));
-    estimate += nu * damping * (1.0 - c) * CardenasPages(t, sigma * n);
-    if (nu == 1.0) metrics.correction_applied.Increment();
+    // The view carries log1p(-1/T), so the Cardenas term costs one expm1.
+    estimate += nu * damping * (1.0 - c) *
+                CardenasPages(t, sigma * n, view.cardenas_log_q);
+    if (nu == 1.0) ++tally.correction_applied;
   }
 
   // Step 7: urn-model reduction for index-sargable predicates. The paper's
@@ -144,14 +172,23 @@ double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
       double log_miss = std::log1p(-1.0 / q);
       double factor = -std::expm1(k * log_miss);  // 1 - (1 - 1/Q)^k
       estimate *= Clamp(factor, 0.0, 1.0);
-      metrics.sargable_reductions.Increment();
+      ++tally.sargable_reductions;
     }
   }
 
   // A scan fetches a page at most once per qualifying record.
   double qualifying = s_sarg * sigma * n;
-  if (estimate > qualifying) metrics.clamped.Increment();
+  if (estimate > qualifying) ++tally.clamped;
   return Clamp(estimate, 0.0, qualifying);
+}
+
+// A single-probe estimate: the core plus an immediate flush.
+double EstimateOne(const IndexStatsView& view, const ScanSpec& scan,
+                   const EstIoOptions& options) {
+  EstimateTally tally;
+  double fetches = EstimatePagesCore(view, scan, options, tally);
+  tally.Flush();
+  return fetches;
 }
 
 double FullScanCore(const IndexStats& stats, uint64_t buffer_pages) {
@@ -185,31 +222,43 @@ CatalogEstimate DegradedEstimate(const ScanSpec& scan,
   return out;
 }
 
+// A probe that was not estimated: fetches 0 with `why` as provenance.
+CatalogEstimate RejectedEstimate(Status why) {
+  CatalogEstimate out;
+  out.fetches = 0.0;
+  out.source = EstimateSource::kRejected;
+  out.stats_status = std::move(why);
+  return out;
+}
+
 // The shared lookup/fallback/provenance path for snapshot-backed
 // estimation: single-probe EstimateFromCatalog and every EstimateBatch
 // probe land here, so their estimates (and provenance) cannot diverge.
+// Writes `out` in place; a healthy probe builds no Status (it only resets
+// a stale one left in a reused results buffer).
 // Preconditions: the scan spec and options are already validated, and
 // `handle` is either invalid or a slot inside `snapshot`.
-CatalogEstimate EstimateResolvedProbe(const CatalogSnapshot& snapshot,
-                                      CatalogSnapshot::Handle handle,
-                                      const ScanSpec& scan,
-                                      const TableShape& shape,
-                                      const EstIoOptions& options) {
+void EstimateResolvedProbe(const CatalogSnapshot& snapshot,
+                           CatalogSnapshot::Handle handle,
+                           const ScanSpec& scan, const TableShape& shape,
+                           const EstIoOptions& options, EstimateTally& tally,
+                           CatalogEstimate& out) {
   if (!handle.valid()) {
-    return DegradedEstimate(
+    out = DegradedEstimate(
         scan, shape, Status::NotFound("Est-IO: no statistics for index"));
+    return;
   }
   const CatalogSnapshot::Entry& entry = snapshot.EntryAt(handle);
   if (entry.quarantined) {
-    return DegradedEstimate(
+    out = DegradedEstimate(
         scan, shape,
         Status::Corruption("Est-IO: statistics quarantined: " +
                            std::string(entry.quarantine_reason)));
+    return;
   }
-  CatalogEstimate out;
-  out.fetches = EstimatePagesCore(entry.view, scan, options);
+  out.fetches = EstimatePagesCore(entry.view, scan, options, tally);
   out.source = EstimateSource::kLruFitCurve;
-  return out;
+  if (!out.stats_status.ok()) out.stats_status = Status::Ok();
 }
 
 }  // namespace
@@ -218,7 +267,7 @@ Result<double> EstIo::Estimate(const IndexStats& stats, const ScanSpec& scan,
                                const EstIoOptions& options) {
   EPFIS_RETURN_IF_ERROR(ValidateOptions(options));
   EPFIS_RETURN_IF_ERROR(ValidateScanSpec(scan));
-  return EstimatePagesCore(stats.View(), scan, options);
+  return EstimateOne(stats.View(), scan, options);
 }
 
 Result<CatalogEstimate> EstIo::EstimateFromCatalog(
@@ -236,7 +285,7 @@ Result<CatalogEstimate> EstIo::EstimateFromCatalog(
                                  : Result<IndexStats>(lookup_fault);
   if (stats.ok()) {
     CatalogEstimate out;
-    out.fetches = EstimatePagesCore(stats->View(), scan, options);
+    out.fetches = EstimateOne(stats->View(), scan, options);
     out.source = EstimateSource::kLruFitCurve;
     return out;
   }
@@ -265,8 +314,12 @@ Result<CatalogEstimate> EstIo::EstimateFromCatalog(
     }
     return DegradedEstimate(scan, shape, lookup_fault);
   }
-  return EstimateResolvedProbe(snapshot, snapshot.Resolve(index_name), scan,
-                               shape, options);
+  CatalogEstimate out;
+  EstimateTally tally;
+  EstimateResolvedProbe(snapshot, snapshot.Resolve(index_name), scan, shape,
+                        options, tally, out);
+  tally.Flush();
+  return out;
 }
 
 Status EstIo::EstimateBatch(const CatalogSnapshot& snapshot,
@@ -292,66 +345,36 @@ Status EstIo::EstimateBatch(const CatalogSnapshot& snapshot,
   metrics.batches.Increment();
   metrics.batch_probes.Increment(probes.size());
 
-  // Process probes grouped by index slot so each entry's knot segments
-  // stay hot in cache across its probes. Results are written in probe
-  // order and each probe is independent, so the grouping never changes a
-  // result. The permutation is skipped when probes already arrive
-  // grouped (the common case: one batch per index, or a caller that
-  // sorted).
-  bool grouped = true;
-  for (size_t i = 1; i < probes.size(); ++i) {
-    if (probes[i].index.slot < probes[i - 1].index.slot) {
-      grouped = false;
-      break;
-    }
-  }
-
+  // Probes are estimated in probe order. Each entry's knots are a few
+  // hundred bytes, so the entries a batch touches stay cache-resident
+  // without grouping probes by slot, and every result is independent of
+  // its neighbours.
+  //
   // Overload protection: once the batch budget is gone, remaining probes
   // are shed with provenance instead of estimated late. `guarded` keeps
-  // the unguarded (default) batch free of clock reads, and `shed` latches
-  // the first expiry so one batch drains at one verdict.
+  // the unguarded (default) batch free of clock reads; in probe order the
+  // first expiry sheds exactly the suffix that is left.
   const bool guarded = options.cancel.valid() || !options.deadline.infinite();
-  Status shed;
-  auto estimate_one = [&](size_t i) {
+  EstimateTally tally;
+  for (size_t i = 0; i < probes.size(); ++i) {
     const BatchProbe& probe = probes[i];
     if (guarded) {
-      if (shed.ok()) {
-        shed = CheckCancel(options.cancel, options.deadline, "Est-IO batch");
-      }
+      Status shed = CheckCancel(options.cancel, options.deadline,
+                                "Est-IO batch");
       if (!shed.ok()) {
-        metrics.deadline_shed.Increment();
-        CatalogEstimate out;
-        out.fetches = 0.0;
-        out.source = EstimateSource::kRejected;
-        out.stats_status = shed;
-        results[i] = std::move(out);
-        return;
+        metrics.deadline_shed.Increment(probes.size() - i);
+        for (; i < probes.size(); ++i) results[i] = RejectedEstimate(shed);
+        break;
       }
     }
-    Status spec = ValidateScanSpec(probe.scan);
-    if (!spec.ok()) {
-      CatalogEstimate out;
-      out.fetches = 0.0;
-      out.source = EstimateSource::kRejected;
-      out.stats_status = std::move(spec);
-      results[i] = std::move(out);
-      return;
+    if (const char* error = ScanSpecError(probe.scan)) {
+      results[i] = RejectedEstimate(RejectScanSpec(error));
+      continue;
     }
-    results[i] = EstimateResolvedProbe(snapshot, probe.index, probe.scan,
-                                       probe.shape, options);
-  };
-
-  if (grouped) {
-    for (size_t i = 0; i < probes.size(); ++i) estimate_one(i);
-  } else {
-    std::vector<uint32_t> order(probes.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return probes[a].index.slot < probes[b].index.slot;
-                     });
-    for (uint32_t i : order) estimate_one(i);
+    EstimateResolvedProbe(snapshot, probe.index, probe.scan, probe.shape,
+                          options, tally, results[i]);
   }
+  tally.Flush();
   return Status::Ok();
 }
 
@@ -371,7 +394,7 @@ double EstimateFullScanFetches(const IndexStats& stats,
 
 double EstimatePageFetches(const IndexStats& stats, const ScanSpec& scan,
                            const EstIoOptions& options) {
-  return EstimatePagesCore(stats.View(), scan, options);
+  return EstimateOne(stats.View(), scan, options);
 }
 
 }  // namespace epfis

@@ -44,11 +44,13 @@ struct EstIoOptions {
   /// `cancel` fires mid-batch, every not-yet-processed probe is shed —
   /// written as kRejected with fetches 0 and a DeadlineExceeded (or
   /// Cancelled) stats_status — instead of the batch running arbitrarily
-  /// past its budget. Probes estimated before the cutoff keep their real
-  /// results, the batch Status stays Ok (shedding is per-probe
-  /// provenance, not a caller error), and `est_io.deadline_shed` counts
-  /// the shed probes. The defaults (null token, infinite deadline) never
-  /// shed and keep batch results bit-identical to an unguarded batch.
+  /// past its budget. Probes are estimated in probe order, so the shed
+  /// probes always form a suffix of the batch. Probes estimated before the
+  /// cutoff keep their real results, the batch Status stays Ok (shedding
+  /// is per-probe provenance, not a caller error), and
+  /// `est_io.deadline_shed` counts the shed probes. The defaults (null
+  /// token, infinite deadline) never shed and keep batch results
+  /// bit-identical to an unguarded batch.
   /// Ignored by the single-probe entry points — one probe is microseconds
   /// and not worth a clock read.
   CancellationToken cancel;
@@ -177,11 +179,14 @@ struct EstIo {
   ///
   /// A probe never fails the batch; the returned Status is non-OK only
   /// for caller errors (results smaller than probes, handle slot out of
-  /// range for this snapshot, invalid options). Probes are processed
-  /// grouped by index slot for cache locality, but results land in probe
-  /// order and each is computed independently, so the grouping is
-  /// unobservable: results[i] is bit-identical to a lone
-  /// EstimateFromCatalog(snapshot, ...) call for the same probe.
+  /// range for this snapshot, invalid options). Probes are estimated in
+  /// probe order and each independently of its neighbours, so results[i]
+  /// is bit-identical to a lone EstimateFromCatalog(snapshot, ...) call
+  /// for the same probe, whatever order the batch lists them in. The
+  /// formula-path counters (est_io.estimates, correction_applied,
+  /// sargable_reductions, clamped_at_qualifying) are tallied per batch
+  /// and published once at its end, with the same totals as one-by-one
+  /// calls.
   ///
   /// Thread-safe with no synchronization: the snapshot is immutable and
   /// all mutable state is in `results`. Concurrent StatsCatalog::Publish

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/formulas.h"
+
 namespace epfis {
 
 double FullScanFetchesAt(const IndexStatsView& view, double buffer_size) {
@@ -41,21 +43,32 @@ double FullScanFetchesAt(const IndexStatsView& view, double buffer_size) {
   return std::clamp(pf, lo, hi_bound);
 }
 
-IndexStatsView IndexStats::View() const {
+namespace {
+
+// Everything View() borrows except the Cardenas constant.
+IndexStatsView CurveView(const IndexStats& stats) {
   IndexStatsView view;
-  view.table_pages = table_pages;
-  view.table_records = table_records;
-  view.pages_accessed = pages_accessed;
-  view.clustering = clustering;
-  if (fpf.has_value()) {
-    view.knots = fpf->knots().data();
-    view.knot_count = static_cast<uint32_t>(fpf->knots().size());
+  view.table_pages = stats.table_pages;
+  view.table_records = stats.table_records;
+  view.pages_accessed = stats.pages_accessed;
+  view.clustering = stats.clustering;
+  if (stats.fpf.has_value()) {
+    view.knots = stats.fpf->knots().data();
+    view.knot_count = static_cast<uint32_t>(stats.fpf->knots().size());
   }
   return view;
 }
 
+}  // namespace
+
+IndexStatsView IndexStats::View() const {
+  IndexStatsView view = CurveView(*this);
+  view.cardenas_log_q = CardenasLogQ(static_cast<double>(table_pages));
+  return view;
+}
+
 double IndexStats::FullScanFetches(double buffer_size) const {
-  return FullScanFetchesAt(View(), buffer_size);
+  return FullScanFetchesAt(CurveView(*this), buffer_size);
 }
 
 }  // namespace epfis

@@ -26,6 +26,11 @@ struct IndexStatsView {
   double clustering = 0.0;     ///< C
   const Knot* knots = nullptr; ///< FPF knots, ascending x; null = no curve.
   uint32_t knot_count = 0;
+  /// CardenasLogQ(T) = log1p(-1/T), the one transcendental of the §4.2
+  /// correction that depends only on the entry. Every view handed to
+  /// Est-IO carries it (IndexStats::View, CatalogSnapshot::Build,
+  /// OpenCatalogSnapshotV3), so no probe recomputes it.
+  double cardenas_log_q = 0.0;
 };
 
 /// PF_B over a raw knot view — the shared interpolation core. Clamps
@@ -83,11 +88,13 @@ struct IndexStats {
   /// it are clamped to the nearest knot (never extrapolated — a steep end
   /// segment could otherwise leave [A, N] or break monotonicity in B).
   /// The result is additionally clamped to the physical bounds [A, N].
-  /// Delegates to FullScanFetchesAt(View(), b).
+  /// Delegates to FullScanFetchesAt over this entry's curve (without
+  /// paying for View()'s Cardenas constant, which PF_B does not read).
   double FullScanFetches(double buffer_size) const;
 
-  /// Borrows this entry's estimator-relevant fields. The view is valid
-  /// only while this IndexStats is alive and unmodified.
+  /// Borrows this entry's estimator-relevant fields, with the Cardenas
+  /// constant filled in. The view is valid only while this IndexStats is
+  /// alive and unmodified.
   IndexStatsView View() const;
 };
 

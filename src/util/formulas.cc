@@ -6,11 +6,13 @@
 namespace epfis {
 
 double CardenasPages(double pages, double k) {
-  if (pages <= 0.0 || k <= 0.0) return 0.0;
   // Compute via expm1/log1p for accuracy when pages is large:
   // T * (1 - exp(k * log(1 - 1/T))).
-  double log_q = std::log1p(-1.0 / pages);
-  return pages * -std::expm1(k * log_q);
+  return CardenasPages(pages, k, CardenasLogQ(pages));
+}
+
+double CardenasLogQ(double pages) {
+  return pages > 0.0 ? std::log1p(-1.0 / pages) : 0.0;
 }
 
 double YaoPages(double n, double pages, double k) {

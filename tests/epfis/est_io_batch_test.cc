@@ -1,16 +1,25 @@
 // EstIo::EstimateBatch: bit-identity with the single-probe entry points,
-// probe-order independence, and per-probe degradation semantics.
+// probe-order independence, per-probe degradation semantics, and counter
+// totals that match the single-probe path.
 #include "epfis/est_io.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog_snapshot.h"
+#include "catalog/catalog_v3.h"
+#include "catalog/stats_catalog.h"
+#include "obs/metrics.h"
+#include "util/formulas.h"
 
 namespace epfis {
 namespace {
@@ -107,9 +116,10 @@ TEST(EstIoBatchTest, ProbeOrderDoesNotChangeResults) {
       grouped.push_back(BatchProbe{handle, {0.3, 0.7, b}, shape});
     }
   }
-  // An interleaved order (slots 0,1,2,0,1,2,...) exercises the
-  // sort-by-slot permutation path; the grouped order skips it. Results
-  // must be identical position-for-position either way.
+  // Probes are estimated in the order given, so an interleaved order
+  // (slots 0,1,2,0,1,2,...) walks the entries differently from the
+  // grouped one. Each result must still be the single-probe answer for
+  // its own probe, position for position.
   std::vector<BatchProbe> interleaved;
   for (size_t j = 0; j < 3; ++j) {
     for (size_t g = j; g < grouped.size(); g += 3) {
@@ -225,6 +235,33 @@ TEST(EstIoBatchTest, QuarantinedEntryDegradesWithCorruption) {
   EXPECT_EQ(results[1].fetches, single->fetches);
 }
 
+// Healthy results are written in place, so a results buffer reused from
+// an earlier batch must not keep that batch's provenance.
+TEST(EstIoBatchTest, ReusedResultsBufferIsOverwritten) {
+  std::shared_ptr<const CatalogSnapshot> snapshot = MakeSnapshot();
+  CatalogSnapshot::Handle handle = snapshot->Resolve("aaa.key");
+  TableShape shape = ShapeFor(*snapshot, handle);
+  std::vector<BatchProbe> bad = {
+      BatchProbe{handle, {2.0, 1.0, 300}, shape},                  // rejected
+      BatchProbe{CatalogSnapshot::Handle{}, {0.4, 1.0, 300}, shape}  // missing
+  };
+  std::vector<CatalogEstimate> results(bad.size());
+  ASSERT_TRUE(EstIo::EstimateBatch(*snapshot, bad, results).ok());
+  ASSERT_FALSE(results[0].stats_status.ok());
+  ASSERT_FALSE(results[1].stats_status.ok());
+
+  std::vector<BatchProbe> good(2, BatchProbe{handle, {0.4, 1.0, 300}, shape});
+  ASSERT_TRUE(EstIo::EstimateBatch(*snapshot, good, results).ok());
+  auto single = EstIo::EstimateFromCatalog(*snapshot, "aaa.key",
+                                           {0.4, 1.0, 300}, shape);
+  ASSERT_TRUE(single.ok());
+  for (const CatalogEstimate& result : results) {
+    EXPECT_EQ(result.source, EstimateSource::kLruFitCurve);
+    EXPECT_TRUE(result.stats_status.ok());
+    EXPECT_EQ(result.fetches, single->fetches);
+  }
+}
+
 TEST(EstIoBatchTest, ResultsSpanTooSmallIsInvalidArgument) {
   std::shared_ptr<const CatalogSnapshot> snapshot = MakeSnapshot();
   CatalogSnapshot::Handle handle = snapshot->Resolve("aaa.key");
@@ -261,6 +298,175 @@ TEST(EstIoBatchTest, ForeignHandleFailsWholeBatch) {
 TEST(EstIoBatchTest, EmptyBatchIsOk) {
   std::shared_ptr<const CatalogSnapshot> snapshot = MakeSnapshot();
   EXPECT_TRUE(EstIo::EstimateBatch(*snapshot, {}, {}).ok());
+}
+
+// The est_io.* counters EstimateBatch and the single-probe path share.
+const char* const kEstIoCounters[] = {
+    "est_io.estimates",           "est_io.correction_applied",
+    "est_io.sargable_reductions", "est_io.clamped_at_qualifying",
+    "est_io.rejected",            "est_io.degraded",
+};
+
+std::map<std::string, uint64_t> EstIoCounterValues() {
+  std::map<std::string, uint64_t> all =
+      MetricsRegistry::Global().Snapshot().counters;
+  std::map<std::string, uint64_t> values;
+  for (const char* name : kEstIoCounters) values[name] = all[name];
+  return values;
+}
+
+std::map<std::string, uint64_t> Deltas(
+    const std::map<std::string, uint64_t>& before,
+    const std::map<std::string, uint64_t>& after) {
+  std::map<std::string, uint64_t> deltas;
+  for (const auto& [name, value] : after) {
+    deltas[name] = value - before.at(name);
+  }
+  return deltas;
+}
+
+// The batch tallies its formula-path counters locally and flushes them
+// once per call; the totals must equal running the same probes one by
+// one through the single-probe snapshot path.
+TEST(EstIoBatchTest, CounterTotalsMatchSingleProbePath) {
+  std::map<std::string, IndexStats> entries;
+  entries.emplace("aaa.key", MakeStats("aaa.key", 1000, 0.9));
+  entries.emplace("ccc.key", MakeStats("ccc.key", 700, 0.0));
+  std::map<std::string, std::string> quarantined;
+  quarantined["hurt.key"] = "checksum mismatch (test)";
+  std::shared_ptr<const CatalogSnapshot> snapshot =
+      CatalogSnapshot::Build(std::move(entries), std::move(quarantined), 1);
+  TableShape shape{1000, 40000};
+
+  struct NamedProbe {
+    std::string name;
+    ScanSpec scan;
+  };
+  const std::vector<NamedProbe> named = {
+      {"aaa.key", {0.5, 1.0, 500}},      // healthy
+      {"aaa.key", {0.3, 0.2, 300}},      // sargable reduction
+      {"ccc.key", {1e-5, 1.0, 12}},      // clamped at qualifying
+      {"ccc.key", {2e-5, 1.0, 64}},      // clamped at qualifying
+      {"ccc.key", {0.1, 1.0, 64}},       // correction fires
+      {"ccc.key", {0.2, 0.5, 64}},       // correction and sargable
+      {"aaa.key", {2.0, 1.0, 64}},       // invalid spec
+      {"aaa.key", {0.2, 1.0, 0}},        // invalid spec (B = 0)
+      {"no-such.key", {0.1, 1.0, 64}},   // invalid handle
+      {"hurt.key", {0.1, 1.0, 64}},      // quarantined
+  };
+  std::vector<BatchProbe> probes;
+  for (const NamedProbe& p : named) {
+    probes.push_back(BatchProbe{snapshot->Resolve(p.name), p.scan, shape});
+  }
+
+  std::map<std::string, uint64_t> before = EstIoCounterValues();
+  std::vector<CatalogEstimate> results(probes.size());
+  ASSERT_TRUE(EstIo::EstimateBatch(*snapshot, probes, results).ok());
+  std::map<std::string, uint64_t> batch =
+      Deltas(before, EstIoCounterValues());
+
+  before = EstIoCounterValues();
+  for (size_t i = 0; i < named.size(); ++i) {
+    auto single = EstIo::EstimateFromCatalog(*snapshot, named[i].name,
+                                             named[i].scan, shape);
+    if (results[i].source == EstimateSource::kRejected) {
+      EXPECT_FALSE(single.ok()) << "probe " << i;
+    } else {
+      ASSERT_TRUE(single.ok()) << "probe " << i;
+      EXPECT_EQ(results[i].fetches, single->fetches) << "probe " << i;
+    }
+  }
+  std::map<std::string, uint64_t> one_by_one =
+      Deltas(before, EstIoCounterValues());
+
+  EXPECT_EQ(batch, one_by_one);
+#if EPFIS_METRICS_ENABLED
+  // Every counter is exercised, so an equal total is a real check.
+  for (const auto& [name, delta] : batch) {
+    EXPECT_GT(delta, 0u) << name;
+  }
+  EXPECT_EQ(batch["est_io.rejected"], 2u);
+  EXPECT_EQ(batch["est_io.degraded"], 2u);
+  EXPECT_EQ(batch["est_io.estimates"], 6u);
+  EXPECT_EQ(batch["est_io.clamped_at_qualifying"], 2u);
+#endif
+}
+
+// Entries where the hoisted Cardenas constant is extreme: T = 1 makes
+// log1p(-1/T) = -inf, T = 2 is the smallest finite case, and N = 0 makes
+// the Cardenas guard (k <= 0) fire. Batch results must equal single-probe
+// results bit for bit over both snapshot constructors.
+TEST(EstIoBatchTest, DegenerateShapesAreBitIdenticalOverBothSnapshots) {
+  StatsCatalog catalog;
+  for (uint64_t pages : {1u, 2u}) {
+    for (uint64_t records : {0u, 50u}) {
+      IndexStats stats;
+      stats.index_name =
+          "t" + std::to_string(pages) + "n" + std::to_string(records);
+      stats.table_pages = pages;
+      stats.table_records = records;
+      stats.pages_accessed = pages;
+      stats.b_min = 1;
+      stats.b_max = pages;
+      stats.clustering = 0.0;
+      stats.fpf = PiecewiseLinear::FromKnots(
+                      {{1.0, static_cast<double>(records) + 3.0},
+                       {2.0, static_cast<double>(pages)}})
+                      .value();
+      catalog.Put(std::move(stats));
+    }
+  }
+  ASSERT_TRUE(catalog.Publish().ok());
+  std::shared_ptr<const CatalogSnapshot> published = catalog.snapshot();
+  std::string path =
+      testing::TempDir() + "/epfis_batch_degenerate_shapes.cat3";
+  ASSERT_TRUE(catalog.SaveToFileV3(path).ok());
+  auto opened = OpenCatalogSnapshotV3(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  std::shared_ptr<const CatalogSnapshot> mapped = *opened;
+
+  for (const std::shared_ptr<const CatalogSnapshot>& snapshot :
+       {published, mapped}) {
+    std::vector<std::string> names = snapshot->IndexNames();
+    ASSERT_EQ(names.size(), 4u);
+    std::vector<BatchProbe> probes;
+    for (const std::string& name : names) {
+      CatalogSnapshot::Handle handle = snapshot->Resolve(name);
+      const IndexStatsView& view = snapshot->ViewAt(handle);
+      // Both constructors fill the hoisted constant.
+      EXPECT_EQ(std::bit_cast<uint64_t>(view.cardenas_log_q),
+                std::bit_cast<uint64_t>(CardenasLogQ(
+                    static_cast<double>(view.table_pages))))
+          << name;
+      for (double sigma : {1e-3, 0.05, 0.5, 1.0}) {
+        for (double sarg : {0.3, 1.0}) {
+          for (uint64_t b : {1u, 2u, 8u}) {
+            probes.push_back(BatchProbe{
+                handle, {sigma, sarg, b}, ShapeFor(*snapshot, handle)});
+          }
+        }
+      }
+    }
+    std::vector<CatalogEstimate> results(probes.size());
+    ASSERT_TRUE(EstIo::EstimateBatch(*snapshot, probes, results).ok());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const BatchProbe& probe = probes[i];
+      const std::string& name = names[probe.index.slot];
+      SCOPED_TRACE(name + " probe " + std::to_string(i));
+      EXPECT_EQ(results[i].source, EstimateSource::kLruFitCurve);
+      EXPECT_FALSE(std::isnan(results[i].fetches));
+      auto single = EstIo::EstimateFromCatalog(*snapshot, name, probe.scan,
+                                               probe.shape);
+      ASSERT_TRUE(single.ok());
+      EXPECT_EQ(std::bit_cast<uint64_t>(results[i].fetches),
+                std::bit_cast<uint64_t>(single->fetches));
+      auto direct = EstIo::Estimate(*catalog.Get(name), probe.scan);
+      ASSERT_TRUE(direct.ok());
+      EXPECT_EQ(std::bit_cast<uint64_t>(results[i].fetches),
+                std::bit_cast<uint64_t>(*direct));
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

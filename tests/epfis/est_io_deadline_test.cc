@@ -4,6 +4,7 @@
 // bit-identical to a guarded batch whose budget never ran out.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include "catalog/catalog_snapshot.h"
 #include "epfis/est_io.h"
+#include "obs/metrics.h"
 #include "util/cancel.h"
 
 namespace epfis {
@@ -107,6 +109,41 @@ TEST(EstIoDeadlineTest, GenerousBudgetIsBitIdenticalToUnguarded) {
     EXPECT_EQ(guarded[i].source, EstimateSource::kLruFitCurve);
     EXPECT_EQ(guarded[i].fetches, unguarded[i].fetches);  // Exact.
   }
+}
+
+// Probes are estimated in probe order, so whatever a mid-batch expiry
+// sheds is a suffix: every probe before the first shed one was served.
+TEST(EstIoDeadlineTest, ShedProbesFormASuffix) {
+  std::shared_ptr<const CatalogSnapshot> snapshot = MakeSnapshot();
+  std::vector<BatchProbe> probes = MakeProbes(*snapshot, 200000);
+  std::vector<CatalogEstimate> results(probes.size());
+
+  EstIoOptions options;
+  options.deadline = Deadline::After(std::chrono::microseconds(200));
+  uint64_t shed_before =
+      MetricsRegistry::Global().Snapshot().counters["est_io.deadline_shed"];
+  ASSERT_TRUE(
+      EstIo::EstimateBatch(*snapshot, probes, results, options).ok());
+  uint64_t shed_counted =
+      MetricsRegistry::Global().Snapshot().counters["est_io.deadline_shed"] -
+      shed_before;
+
+  size_t first_shed = 0;
+  while (first_shed < results.size() &&
+         results[first_shed].source == EstimateSource::kLruFitCurve) {
+    ++first_shed;
+  }
+  for (size_t i = first_shed; i < results.size(); ++i) {
+    ASSERT_EQ(results[i].source, EstimateSource::kRejected) << "probe " << i;
+    ASSERT_EQ(results[i].stats_status.code(),
+              StatusCode::kDeadlineExceeded)
+        << "probe " << i;
+  }
+#if EPFIS_METRICS_ENABLED
+  EXPECT_EQ(shed_counted, results.size() - first_shed);
+#else
+  (void)shed_counted;
+#endif
 }
 
 TEST(EstIoDeadlineTest, SingleProbeEntryPointsIgnoreTheBudget) {

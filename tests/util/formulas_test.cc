@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace epfis {
 namespace {
@@ -48,6 +50,21 @@ TEST(CardenasTest, BoundedByPagesAndRecords) {
 TEST(CardenasTest, LargeTNumericallyStable) {
   // 10^9 pages, 1 record: must be ~1, not lost to cancellation.
   EXPECT_NEAR(CardenasPages(1e9, 1), 1.0, 1e-6);
+}
+
+TEST(CardenasTest, SuppliedLogQIsBitIdentical) {
+  // The three-argument form with CardenasLogQ(T) is how Est-IO evaluates
+  // the term; it must reproduce the two-argument form exactly, including
+  // T = 1 (log q = -inf) and the T <= 0 || k <= 0 guard.
+  EXPECT_EQ(CardenasLogQ(1.0), -INFINITY);
+  EXPECT_EQ(CardenasLogQ(0.0), 0.0);
+  for (double t : {-1.0, 0.0, 1.0, 2.0, 3.0, 1000.0, 1e9}) {
+    for (double k : {-1.0, 0.0, 1e-6, 0.4, 1.0, 7.5, 1e6}) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(CardenasPages(t, k)),
+                std::bit_cast<uint64_t>(CardenasPages(t, k, CardenasLogQ(t))))
+          << "T=" << t << " k=" << k;
+    }
+  }
 }
 
 TEST(YaoTest, DegenerateInputs) {
