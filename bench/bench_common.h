@@ -13,9 +13,13 @@
 // Shapes are scale-invariant: running at --scale=1 reproduces the paper's
 // sizes exactly but takes correspondingly longer on one core.
 
+#include <cctype>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <system_error>
 
 #include "harness/experiment.h"
 #include "harness/figures.h"
@@ -53,6 +57,38 @@ inline ExperimentConfig PaperExperimentConfig(const BenchOptions& options) {
   config.min_buffer_pages = static_cast<uint64_t>(300 * options.scale);
   if (config.min_buffer_pages < 8) config.min_buffer_pages = 8;
   return config;
+}
+
+/// The "model name" line of /proc/cpuinfo, or "unknown".
+inline std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
+/// NUMA nodes listed under /sys/devices/system/node (one `nodeN` entry
+/// each); 1 when the tree is absent. Recorded next to benchmark results
+/// so a reader knows the machine they came from.
+inline int NumaNodeCount() {
+  int nodes = 0;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/sys/devices/system/node", ec)) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("node", 0) == 0 && name.size() > 4 &&
+        std::isdigit(static_cast<unsigned char>(name[4]))) {
+      ++nodes;
+    }
+  }
+  return nodes > 0 ? nodes : 1;
 }
 
 inline void EmitExperiment(const ExperimentResult& result,

@@ -56,11 +56,11 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "catalog/catalog_v3.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/est_io.h"
 #include "util/arg_parser.h"
-#include "util/numa.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 
@@ -72,21 +72,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-// The "model name" line of /proc/cpuinfo, or "unknown".
-std::string CpuModel() {
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      size_t colon = line.find(':');
-      if (colon != std::string::npos && colon + 2 <= line.size()) {
-        return line.substr(colon + 2);
-      }
-    }
-  }
-  return "unknown";
 }
 
 std::string IndexName(size_t i) {
@@ -451,13 +436,12 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write " << json_path << '\n';
     return 1;
   }
-  const NumaTopology& topo = NumaTopology::Get();
   std::sort(batch_rep_s.begin(), batch_rep_s.end());
   json << "{\n"
        << "  \"bench\": \"est_io_serving\",\n"
        << "  \"cpu_model\": \"" << CpuModel() << "\",\n"
-       << "  \"cpus\": " << topo.num_cpus() << ",\n"
-       << "  \"numa_nodes\": " << topo.num_nodes() << ",\n"
+       << "  \"cpus\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"numa_nodes\": " << NumaNodeCount() << ",\n"
        << "  \"build_type\": \"" << EPFIS_BENCH_BUILD_TYPE << "\",\n"
        << "  \"reps\": " << reps << ",\n"
        << "  \"indexes\": " << indexes << ",\n"

@@ -1,12 +1,10 @@
 #include "buffer/parallel_stack_distance.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <exception>
 #include <future>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -17,7 +15,6 @@
 #include "util/fenwick.h"
 #include "util/flat_hash.h"
 #include "util/thread_pool.h"
-#include "util/watchdog.h"
 
 namespace epfis {
 namespace {
@@ -66,9 +63,9 @@ void PublishSamplingMetrics(const SamplingSummary& summary) {
 // slots (matches the serial kernel's scheme).
 constexpr size_t kPrefetchAhead = 8;
 
-// Cancellation-poll / heartbeat cadence inside a shard pass: one relaxed
-// poll (and optional watchdog beat) every this many references. Power of
-// two so the gate is a mask test on the loop index.
+// Cancellation-poll cadence inside a shard pass: one relaxed poll every
+// this many references. Power of two so the gate is a mask test on the
+// loop index.
 constexpr size_t kCancelCheckMask = (size_t{1} << 16) - 1;
 
 // Chunk size (in references) of the streaming read buffer, shared by the
@@ -86,31 +83,13 @@ constexpr size_t kMaxShardRefs = size_t{1} << 31;
 // size_hint cannot provoke a gigantic allocation before any data exists.
 constexpr size_t kShardReserveCap = size_t{1} << 22;
 
-// Merge-to-pass cost ratio (x1000) measured on previous parallel runs in
-// this process, EWMA-smoothed. Drives the automatic shard geometry: pass
-// cost scales with references per shard, merge cost with distinct pages
-// per shard, and the ratio between them is workload-dependent, so a flat
-// one-shard-per-worker split can leave a merge tail that caps Amdahl
-// scaling. Relaxed atomics — concurrent runs race benignly on a heuristic.
-std::atomic<uint64_t> g_merge_pass_ratio_x1000{0};
-
-// Shard count when the caller lets us choose. The streaming merge hides
-// all but the final shard's merge behind the parallel passes; with S
-// shards that non-overlappable tail is merge_total / S, so pick S with
-//   merge_total / S <= pass_total / (4 T)   =>   S >= 4 T * ratio,
-// i.e. the tail costs at most a quarter of one worker's share of the
-// pass. Mild 2x oversubscription is the floor — the pipeline needs slack
-// even when the measured merge is negligible or nothing was measured yet.
-size_t AutoShardCount(size_t threads) {
-  uint64_t ratio = g_merge_pass_ratio_x1000.load(std::memory_order_relaxed);
-  size_t over = 2;
-  if (ratio > 0) {
-    double want = std::ceil(4.0 * static_cast<double>(threads) *
-                            static_cast<double>(ratio) / 1000.0);
-    over = std::clamp(static_cast<size_t>(want), size_t{2}, size_t{16});
-  }
-  return threads * over;
-}
+// Shards per pool worker when the caller lets us choose. The streaming
+// merge hides all but the final shard's merge behind the parallel passes;
+// with S shards that tail is merge_total / S, so oversubscribing the
+// workers shrinks it. 4x matched or beat an adaptive merge-cost tuner on
+// a page-dense and a sparse trace, and 2x lost 12-18% on the dense one
+// (DESIGN.md §15.3).
+constexpr size_t kShardsPerWorker = 4;
 
 // Result of the parallel phase for one shard. Distances whose reuse window
 // lies entirely inside the shard are final (in `hist`); each shard-first
@@ -123,9 +102,6 @@ struct ShardResult {
   // Final (page, global position of its last access in the shard), any
   // order. The merge pass advances the global last-access table with these.
   std::vector<std::pair<PageId, uint64_t>> last_access;
-  // Wall time of the shard pass, for the merge-to-pass geometry tuner
-  // (measured directly so it survives a metrics-off build).
-  uint64_t pass_ns = 0;
 };
 
 // Runs the serial Mattson algorithm on one shard over *local* timestamps.
@@ -140,8 +116,7 @@ struct ShardResult {
 Result<ShardResult> ProcessShard(const std::vector<PageId>& shard,
                                  uint64_t offset,
                                  const CancellationToken& token,
-                                 const Deadline& deadline,
-                                 Watchdog::Heartbeat* heartbeat) {
+                                 const Deadline& deadline) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   static Counter shards_counter = registry.GetCounter("sd.shards");
   static Counter shard_refs_counter = registry.GetCounter("sd.shard_refs");
@@ -149,14 +124,12 @@ Result<ShardResult> ProcessShard(const std::vector<PageId>& shard,
       registry.GetCounter("sd.deferred_first_accesses");
   static LatencyHistogram shard_ns = registry.GetHistogram("sd.shard_ns");
   ScopedTimer timer(shard_ns);
-  auto pass_start = std::chrono::steady_clock::now();
 
   ShardResult result;
   FenwickTree live(shard.empty() ? 1 : shard.size());
   FlatHashMap<PageId, uint64_t, kInvalidPageId> last(shard.size() / 4 + 8);
   for (size_t i = 0; i < shard.size(); ++i) {
     if ((i & kCancelCheckMask) == 0) {
-      if (heartbeat != nullptr) heartbeat->Beat();
       EPFIS_RETURN_IF_ERROR(CheckCancel(token, deadline,
                                         "stack distance shard"));
     }
@@ -183,10 +156,6 @@ Result<ShardResult> ProcessShard(const std::vector<PageId>& shard,
   last.ForEach([&result, offset](PageId page, uint64_t pos) {
     result.last_access.emplace_back(page, offset + pos);
   });
-  result.pass_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - pass_start)
-          .count());
   shards_counter.Increment();
   shard_refs_counter.Increment(shard.size());
   deferred_counter.Increment(result.first_access.size());
@@ -308,18 +277,13 @@ Result<StackDistanceHistogram> ComputeParallel(
     uint64_t* total_refs_out, uint64_t* exact_distinct_out) {
   size_t num_shards = options.num_shards > 0
                           ? options.num_shards
-                          : AutoShardCount(pool.num_threads());
+                          : kShardsPerWorker * pool.num_threads();
   size_t min_refs = std::max<size_t>(options.min_shard_refs, 1);
-  // The run's token. With a watchdog, shard workers beat per ~64K refs and
-  // a stalled worker fires this token; a Child() keeps the watchdog from
-  // ever firing the caller's own token.
-  CancellationToken run_token =
-      options.watchdog != nullptr ? options.cancel.Child() : options.cancel;
+  const CancellationToken token = options.cancel;
   const Deadline deadline = options.deadline;
   const bool filtered = threshold < kSampleModulus;
   const double rate = static_cast<double>(threshold) /
                       static_cast<double>(kSampleModulus);
-  const bool overlap = options.overlap_merge;
 
   // Shard size: split a known-length trace evenly (scaled by the expected
   // survivor fraction when filtering); fall back to a fixed chunk for
@@ -346,13 +310,12 @@ Result<StackDistanceHistogram> ComputeParallel(
   // unprocessed raw trace in memory. The filter runs here, in the single
   // reader, so every shard agrees on the sampled subset by construction.
   //
-  // Merge scheduling: with overlap on (the default), the reader applies
-  // shard k's merge the moment futures[k] resolves — between chunk fills,
-  // while shards k+1… still execute on the pool — so only the final
-  // shard's merge is serial tail. Merge order is submission order in both
-  // modes (only futures[drained] is ever collected), which is what the
-  // exactness argument above MergeShard needs; barrier mode merely defers
-  // every merge until after the drain. Bit-identical either way.
+  // Merge scheduling: the reader applies shard k's merge the moment
+  // futures[k] resolves — between chunk fills, while shards k+1… still
+  // execute on the pool — so only the final shard's merge is serial tail.
+  // Merge order is submission order (only futures[drained] is ever
+  // collected), which is what the exactness argument above MergeShard
+  // needs.
   //
   // Failure isolation: shard tasks return Result<ShardResult> — nothing
   // propagates through future::get() as an exception. The reader records
@@ -366,7 +329,6 @@ Result<StackDistanceHistogram> ComputeParallel(
   static Gauge overlap_ratio_gauge =
       registry.GetGauge("sd.merge_overlap_ratio_x1000");
   std::vector<std::future<Result<ShardResult>>> futures;
-  std::vector<ShardResult> results;  // Barrier mode: merges deferred here.
   size_t drained = 0;  // futures[0, drained) have been collected.
   Status first_error;
   const size_t max_in_flight = pool.num_threads() + 2;
@@ -389,7 +351,6 @@ Result<StackDistanceHistogram> ComputeParallel(
   size_t merged = 0;             // Shards merged, in submission order.
   uint64_t merge_ns_total = 0;   // Wall time spent merging.
   uint64_t merge_ns_hidden = 0;  // ...while parallel work was in flight.
-  uint64_t pass_ns_total = 0;    // Sum of shard pass times (for the tuner).
   auto ensure_live = [&](uint64_t end_pos) {
     if (end_pos <= live_cap) return;
     size_t want = live_cap;
@@ -399,7 +360,7 @@ Result<StackDistanceHistogram> ComputeParallel(
   };
   auto merge_step = [&](const ShardResult& r) {
     Status s = FaultPoint("sd.merge.step");
-    if (s.ok()) s = CheckCancel(run_token, deadline, "stack distance merge");
+    if (s.ok()) s = CheckCancel(token, deadline, "stack distance merge");
     if (!s.ok()) {
       if (first_error.ok()) first_error = s;
       return;
@@ -437,17 +398,12 @@ Result<StackDistanceHistogram> ComputeParallel(
       if (first_error.ok()) first_error = r.status();
       return;
     }
-    pass_ns_total += r->pass_ns;
     if (!first_error.ok()) return;  // Draining only; merging has stopped.
-    if (overlap) {
-      merge_step(*r);
-    } else {
-      results.push_back(std::move(*r));
-    }
+    merge_step(*r);
   };
-  // Overlap mode's opportunistic step: consume every already-resolved
-  // future without blocking. Runs between chunk fills, so merge work
-  // rides on the reader thread's gaps instead of a post-barrier tail.
+  // Opportunistic step: consume every already-resolved future without
+  // blocking. Runs between chunk fills, so merge work rides on the reader
+  // thread's gaps instead of a post-drain tail.
   auto drain_ready = [&] {
     while (drained < futures.size() &&
            futures[drained].wait_for(std::chrono::seconds(0)) ==
@@ -459,16 +415,11 @@ Result<StackDistanceHistogram> ComputeParallel(
     shard_ends.push_back(sampled_refs);
     uint64_t offset = sampled_refs - shard.size();
     futures.push_back(pool.Submit(
-        [shard = std::move(shard), offset, run_token, deadline,
-         watchdog = options.watchdog,
-         budget = options.watchdog_budget]() mutable -> Result<ShardResult> {
+        [shard = std::move(shard), offset, token,
+         deadline]() mutable -> Result<ShardResult> {
           try {
             EPFIS_RETURN_IF_ERROR(FaultPoint("sd.shard.task"));
-            std::shared_ptr<Watchdog::Heartbeat> hb;
-            if (watchdog != nullptr) {
-              hb = watchdog->Watch("sd.shard", budget, run_token);
-            }
-            return ProcessShard(shard, offset, run_token, deadline, hb.get());
+            return ProcessShard(shard, offset, token, deadline);
           } catch (const std::exception& e) {
             return Status::Internal(
                 std::string("stack distance shard failed: ") + e.what());
@@ -483,7 +434,7 @@ Result<StackDistanceHistogram> ComputeParallel(
   PageSeenSet seen;
   Status read_error;
   while (first_error.ok()) {
-    if (Status cs = CheckCancel(run_token, deadline, "stack distance");
+    if (Status cs = CheckCancel(token, deadline, "stack distance");
         !cs.ok()) {
       first_error = cs;
       break;
@@ -505,7 +456,7 @@ Result<StackDistanceHistogram> ComputeParallel(
       ++sampled_refs;
       if (shard.size() >= shard_refs) submit();
     }
-    if (overlap) drain_ready();
+    drain_ready();
   }
   reading = false;
   if (read_error.ok() && first_error.ok() && !shard.empty()) submit();
@@ -522,27 +473,6 @@ Result<StackDistanceHistogram> ComputeParallel(
         "stack distance: sampling rate too low, no references sampled");
   }
 
-  // Barrier mode: the deferred sequential merge, in shard order. Cost is
-  // proportional to the distinct pages per shard, not the references per
-  // shard — that gap is where the parallel speedup comes from, and what
-  // overlap mode hides behind the passes.
-  if (!overlap) {
-    for (const ShardResult& shard_result : results) {
-      if (!first_error.ok()) break;
-      merge_step(shard_result);
-    }
-    if (!first_error.ok()) return first_error;
-  }
-
-  // Feed the geometry tuner: how expensive was merging relative to the
-  // passes it must hide behind? EWMA so one odd run cannot whipsaw the
-  // shard count of the next.
-  if (pass_ns_total > 0 && merge_ns_total > 0) {
-    uint64_t cur = merge_ns_total * 1000 / pass_ns_total;
-    uint64_t old = g_merge_pass_ratio_x1000.load(std::memory_order_relaxed);
-    uint64_t next = old == 0 ? cur : (3 * old + cur) / 4;
-    g_merge_pass_ratio_x1000.store(next, std::memory_order_relaxed);
-  }
   parallel_runs.Increment();
   merge_ns_hist.Record(merge_ns_total);
   if (merge_ns_total > 0) {

@@ -3,8 +3,6 @@
 
 #include <cstddef>
 
-#include <chrono>
-
 #include "buffer/sampling.h"
 #include "buffer/stack_distance.h"
 #include "epfis/trace_source.h"
@@ -14,25 +12,14 @@
 namespace epfis {
 
 class ThreadPool;
-class Watchdog;
 
 /// Tuning knobs for the sharded stack-distance computation.
 struct StackDistanceOptions {
-  /// Number of trace shards. 0 picks a geometry automatically: a multiple
-  /// of the pool's worker count, with the oversubscription factor sized
-  /// from the merge-to-pass cost ratio measured on previous parallel runs
-  /// (smaller shards shrink the non-overlappable merge tail of the last
-  /// shard — see DESIGN.md §15). More shards than workers is fine (they
-  /// queue); results are independent of the shard count.
+  /// Number of trace shards. 0 picks 4 shards per pool worker: smaller
+  /// shards shrink the merge tail of the last shard, which the streaming
+  /// merge cannot hide (see DESIGN.md §15). More shards than workers is
+  /// fine (they queue); results are independent of the shard count.
   size_t num_shards = 0;
-
-  /// Stream the merge: apply shard k's merge the moment its future
-  /// resolves (on the reader thread, between chunk fills) while shards
-  /// k+1… still execute on the pool, instead of draining every future
-  /// first and merging behind a barrier. Merge order is submission order
-  /// either way, so the two modes are bit-identical; this flag exists for
-  /// A/B measurement (bench_kernel sweeps it) and as an escape hatch.
-  bool overlap_merge = true;
 
   /// Floor on the references per shard, so tiny traces are not split into
   /// shards whose fixed costs dominate. Tests lower this to exercise
@@ -61,23 +48,16 @@ struct StackDistanceOptions {
   /// poll points as `cancel` and surfaces as Status::DeadlineExceeded.
   /// Defaults to infinite.
   Deadline deadline;
-
-  /// When set, every shard pass registers a heartbeat with this watchdog
-  /// and beats per ~64K references; a worker silent past
-  /// `watchdog_budget` trips the run's token (a Child() of `cancel`, so
-  /// the caller's token is never fired by the watchdog) and the run
-  /// cancels cooperatively. Null (the default) disables stall detection.
-  Watchdog* watchdog = nullptr;
-  std::chrono::nanoseconds watchdog_budget = std::chrono::seconds(30);
 };
 
 /// Computes the LRU stack-distance histogram of `trace`.
 ///
 /// With `pool == nullptr` (or a single worker) this streams the trace
 /// through the serial StackDistanceSimulator. Otherwise the trace is split
-/// into shards processed concurrently on `pool`, and a sequential merge
-/// pass resolves the references whose previous access lies in an earlier
-/// shard (see DESIGN.md §7 for the algorithm and the exactness argument).
+/// into shards processed concurrently on `pool`, and a sequential merge,
+/// streamed on the calling thread as shards finish, resolves the
+/// references whose previous access lies in an earlier shard (see
+/// DESIGN.md §7 for the algorithm and the exactness argument).
 /// Both paths produce bit-identical histograms: the parallel result equals
 /// the serial simulator's on every trace, by construction, and the
 /// property tests assert it.

@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/arena.h"
-
 // Mirrors the build-wide gate from obs/metrics.h without depending on it:
 // this header sits below the obs layer.
 #ifndef EPFIS_METRICS_ENABLED
@@ -30,9 +28,7 @@ namespace epfis {
 /// the first probe slot of an upcoming key into cache ahead of time.
 ///
 /// Grows at a 0.7 load factor by doubling and reinserting; pointers
-/// returned by Find/TryEmplace are invalidated by any later insert. The
-/// slot array is hugepage-backed (util/arena.h): once it outgrows the
-/// arena threshold, random probes stop paying 4KB-page TLB walks.
+/// returned by Find/TryEmplace are invalidated by any later insert.
 ///
 /// When the caller knows how many keys are coming (the kernel passes the
 /// adaptive sampling cap, an exact bound), `SetGrowthHint` lets a
@@ -94,19 +90,6 @@ class FlatHashMap {
   }
   const Value* Find(Key key) const {
     return const_cast<FlatHashMap*>(this)->Find(key);
-  }
-
-  /// Stats-free lookup for speculative pipeline peeks: same probe
-  /// sequence as Find, but the instrumentation counters stay untouched,
-  /// so probes/lookups keep describing the resolving loop alone.
-  const Value* Peek(Key key) const {
-    size_t i = IndexFor(key);
-    for (;;) {
-      const Slot& slot = slots_[i];
-      if (slot.key == key) return &slot.value;
-      if (slot.key == kEmptyKey) return nullptr;
-      i = (i + 1) & mask_;
-    }
   }
 
   /// Inserts (key, value) if `key` is absent. Returns the slot's value
@@ -230,7 +213,7 @@ class FlatHashMap {
   static constexpr size_t kRebuildPrefetchAhead = 8;
 
   void Rebuild(size_t new_capacity) {
-    std::vector<Slot, HugeAllocator<Slot>> old = std::move(slots_);
+    std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_capacity, Slot{kEmptyKey, Value{}});
     mask_ = new_capacity - 1;
     shift_ = 64;
@@ -251,7 +234,7 @@ class FlatHashMap {
     }
   }
 
-  std::vector<Slot, HugeAllocator<Slot>> slots_;
+  std::vector<Slot> slots_;
   size_t size_ = 0;
   size_t mask_ = 0;
   unsigned shift_ = 64;

@@ -129,31 +129,24 @@ TEST(ParallelStackDistanceTest, NullPoolMatchesSimulator) {
 }
 
 // ---------------------------------------------------------------------------
-// Overlapped merge: the streaming merge (applied the moment each shard
-// future resolves) must be bit-identical to the barrier merge (applied
-// after a full drain) and to the serial kernel — across shard counts,
-// sampling modes, and shard-size floors.
+// Streaming merge: shard k is merged the moment its future resolves, while
+// later shards still run. The result must be bit-identical to the serial
+// kernel across shard counts, sampling modes, and shard-size floors.
 
-// Runs the same trace through overlap mode, barrier mode, and the serial
-// path for one sampling configuration, and requires all three histograms
-// (and the sampled summaries) to be exactly equal.
-void ExpectModesBitIdentical(const std::vector<PageId>& trace,
-                             ThreadPool& pool, size_t num_shards,
-                             double sample_rate, size_t min_shard_refs) {
+// Runs the same trace through the sharded and the serial path for one
+// sampling configuration, and requires the histograms (and the sampled
+// summaries) to be exactly equal.
+void ExpectShardedBitIdentical(const std::vector<PageId>& trace,
+                               ThreadPool& pool, size_t num_shards,
+                               double sample_rate, size_t min_shard_refs) {
   StackDistanceOptions options;
   options.num_shards = num_shards;
   options.min_shard_refs = min_shard_refs;
   options.sampling.rate = sample_rate;
 
-  options.overlap_merge = true;
-  VectorTraceSource overlap_source = VectorTraceSource::View(trace);
-  auto overlap = ComputeSampledStackDistances(overlap_source, &pool, options);
-  ASSERT_TRUE(overlap.ok()) << overlap.status().ToString();
-
-  options.overlap_merge = false;
-  VectorTraceSource barrier_source = VectorTraceSource::View(trace);
-  auto barrier = ComputeSampledStackDistances(barrier_source, &pool, options);
-  ASSERT_TRUE(barrier.ok()) << barrier.status().ToString();
+  VectorTraceSource sharded_source = VectorTraceSource::View(trace);
+  auto sharded = ComputeSampledStackDistances(sharded_source, &pool, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
 
   VectorTraceSource serial_source = VectorTraceSource::View(trace);
   auto serial = ComputeSampledStackDistances(serial_source, nullptr, options);
@@ -164,33 +157,30 @@ void ExpectModesBitIdentical(const std::vector<PageId>& trace,
   ctx.resize(static_cast<size_t>(snprintf(ctx.data(), ctx.size(), ctx_fmt,
                                           num_shards, sample_rate,
                                           min_shard_refs)));
-  EXPECT_TRUE(overlap->histogram == barrier->histogram)
-      << "overlap vs barrier: " << ctx;
-  EXPECT_TRUE(overlap->histogram == serial->histogram)
-      << "overlap vs serial: " << ctx;
-  EXPECT_EQ(overlap->sampling.sampled_refs, barrier->sampling.sampled_refs)
+  EXPECT_TRUE(sharded->histogram == serial->histogram) << ctx;
+  EXPECT_EQ(sharded->sampling.sampled_refs, serial->sampling.sampled_refs)
       << ctx;
-  EXPECT_EQ(overlap->sampling.sampled_refs, serial->sampling.sampled_refs)
+  EXPECT_EQ(sharded->sampling.total_refs, serial->sampling.total_refs)
       << ctx;
-  EXPECT_EQ(overlap->sampling.exact_distinct, barrier->sampling.exact_distinct)
+  EXPECT_EQ(sharded->sampling.exact_distinct, serial->sampling.exact_distinct)
       << ctx;
 }
 
-TEST(OverlapMergeTest, BitIdenticalToBarrierAndSerialUnfiltered) {
+TEST(OverlapMergeTest, BitIdenticalToSerialUnfiltered) {
   ThreadPool pool(3);
   auto trace = ZipfTrace(30'000, 1'500, 0.85, 77);
   for (size_t shards : {1u, 2u, 3u, 8u}) {
-    ExpectModesBitIdentical(trace, pool, shards, /*sample_rate=*/1.0,
-                            /*min_shard_refs=*/1);
+    ExpectShardedBitIdentical(trace, pool, shards, /*sample_rate=*/1.0,
+                              /*min_shard_refs=*/1);
   }
 }
 
-TEST(OverlapMergeTest, BitIdenticalToBarrierAndSerialFixedRate) {
+TEST(OverlapMergeTest, BitIdenticalToSerialFixedRate) {
   ThreadPool pool(3);
   auto trace = ZipfTrace(30'000, 1'500, 0.85, 78);
   for (size_t shards : {1u, 2u, 3u, 8u}) {
-    ExpectModesBitIdentical(trace, pool, shards, /*sample_rate=*/0.25,
-                            /*min_shard_refs=*/1);
+    ExpectShardedBitIdentical(trace, pool, shards, /*sample_rate=*/0.25,
+                              /*min_shard_refs=*/1);
   }
 }
 
@@ -201,17 +191,16 @@ TEST(OverlapMergeTest, BitIdenticalUnderShardRefsFloor) {
   ThreadPool pool(3);
   auto trace = UniformTrace(12'000, 800, 79);
   for (size_t shards : {2u, 8u}) {
-    ExpectModesBitIdentical(trace, pool, shards, /*sample_rate=*/1.0,
-                            /*min_shard_refs=*/5'000);
-    ExpectModesBitIdentical(trace, pool, shards, /*sample_rate=*/0.25,
-                            /*min_shard_refs=*/20'000);
+    ExpectShardedBitIdentical(trace, pool, shards, /*sample_rate=*/1.0,
+                              /*min_shard_refs=*/5'000);
+    ExpectShardedBitIdentical(trace, pool, shards, /*sample_rate=*/0.25,
+                              /*min_shard_refs=*/20'000);
   }
 }
 
 TEST(OverlapMergeTest, AutoGeometryMatchesSerial) {
-  // num_shards = 0 lets the tuner pick the shard count (seeded by the
-  // merge-to-pass ratio of whatever ran earlier in this process); whatever
-  // it picks must not show in the result.
+  // num_shards = 0 picks the default geometry (4 shards per worker); the
+  // shard count must not show in the result.
   ThreadPool pool(3);
   auto trace = ZipfTrace(25'000, 1'000, 0.9, 80);
   StackDistanceHistogram serial = SerialHistogram(trace);
@@ -225,51 +214,34 @@ TEST(OverlapMergeTest, AutoGeometryMatchesSerial) {
 }
 
 TEST(OverlapMergeTest, MergeFaultSurfacesAndDrainsInOverlapMode) {
-  // A fault at the streaming merge step must come back as the injected
-  // Status — after every in-flight shard future has been drained (a hang
-  // here would time the test out), and without poisoning the next run.
+  // A fault at the streaming merge step — on the first merge, or after two
+  // shards have merged — must come back as the injected Status, after
+  // every in-flight shard future has been drained (a hang here would time
+  // the test out), and without poisoning the next run.
   ThreadPool pool(4);
   auto trace = UniformTrace(20'000, 600, 81);
   StackDistanceOptions options;
   options.num_shards = 8;
   options.min_shard_refs = 1;
-  options.overlap_merge = true;
-  FaultSpec spec;
-  spec.max_fires = 1;
-  spec.code = StatusCode::kInternal;
-  FaultInjector::Global().Arm("sd.merge.step", spec);
-  VectorTraceSource source = VectorTraceSource::View(trace);
-  auto result = ComputeStackDistances(source, &pool, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-  FaultInjector::Global().DisarmAll();
+  for (uint64_t skip : {0u, 2u}) {
+    FaultSpec spec;
+    spec.max_fires = 1;
+    spec.skip_calls = skip;
+    spec.code = StatusCode::kInternal;
+    FaultInjector::Global().Arm("sd.merge.step", spec);
+    VectorTraceSource source = VectorTraceSource::View(trace);
+    auto result = ComputeStackDistances(source, &pool, options);
+    ASSERT_FALSE(result.ok()) << "skip=" << skip;
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+    FaultInjector::Global().DisarmAll();
 
-  // Recovery: the very next pass over the same source succeeds and is
-  // still bit-identical to serial.
-  VectorTraceSource retry_source = VectorTraceSource::View(trace);
-  auto retry = ComputeStackDistances(retry_source, &pool, options);
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_TRUE(*retry == SerialHistogram(trace));
-}
-
-TEST(OverlapMergeTest, MergeFaultSurfacesInBarrierMode) {
-  // Same fault point, deferred merge: fires during the post-drain loop.
-  ThreadPool pool(2);
-  auto trace = UniformTrace(10'000, 400, 82);
-  StackDistanceOptions options;
-  options.num_shards = 4;
-  options.min_shard_refs = 1;
-  options.overlap_merge = false;
-  FaultSpec spec;
-  spec.max_fires = 1;
-  spec.skip_calls = 2;  // Let two shards merge first.
-  spec.code = StatusCode::kInternal;
-  FaultInjector::Global().Arm("sd.merge.step", spec);
-  VectorTraceSource source = VectorTraceSource::View(trace);
-  auto result = ComputeStackDistances(source, &pool, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-  FaultInjector::Global().DisarmAll();
+    // Recovery: the very next pass over the same source succeeds and is
+    // still bit-identical to serial.
+    VectorTraceSource retry_source = VectorTraceSource::View(trace);
+    auto retry = ComputeStackDistances(retry_source, &pool, options);
+    ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+    EXPECT_TRUE(*retry == SerialHistogram(trace));
+  }
 }
 
 TEST(StackDistanceHistogramTest, FetchesAtZeroBufferIsTotalReferences) {

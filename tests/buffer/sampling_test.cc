@@ -182,23 +182,38 @@ TEST(SamplingTest, FixedRateMatchesPrefilteredExactKernel) {
 
 // Sampled kernel runs are insensitive to chunking and compaction: feeding
 // the trace in ragged chunks with a tiny window produces the same
-// histogram as one whole-trace call.
+// histogram as one whole-trace call. Fixed-rate and adaptive mode take
+// separate filter loops in AccessAll, so both are pinned here; the
+// adaptive input is large enough that the eviction path actually runs.
 TEST(SamplingTest, SampledChunkedAccessEqualsWholeTrace) {
   auto trace = ZipfTrace(8'192, 600, 0.86, 11);
-  SamplingOptions options;
-  options.rate = 0.2;
-  StackDistanceKernel whole(trace.size(), 0, options);
-  whole.AccessAll(trace);
-  StackDistanceKernel chunked(16, 32, options);
-  for (size_t i = 0; i < trace.size(); i += 777) {
-    size_t n = std::min<size_t>(777, trace.size() - i);
-    chunked.AccessAll(trace.data() + i, n);
+  SamplingOptions fixed_rate;
+  fixed_rate.rate = 0.2;
+  SamplingOptions adaptive;
+  adaptive.max_pages = 128;
+  for (const SamplingOptions& options : {fixed_rate, adaptive}) {
+    StackDistanceKernel whole(trace.size(), 0, options);
+    whole.AccessAll(trace);
+    StackDistanceKernel chunked(16, 32, options);
+    for (size_t i = 0; i < trace.size(); i += 777) {
+      size_t n = std::min<size_t>(777, trace.size() - i);
+      chunked.AccessAll(trace.data() + i, n);
+    }
+    SCOPED_TRACE(options.max_pages > 0 ? "adaptive" : "fixed-rate");
+    EXPECT_TRUE(whole.histogram() == chunked.histogram());
+    EXPECT_TRUE(whole.sampled_result().histogram ==
+                chunked.sampled_result().histogram);
+    SamplingSummary a = whole.sampling_summary();
+    SamplingSummary b = chunked.sampling_summary();
+    EXPECT_EQ(a.total_refs, b.total_refs);
+    EXPECT_EQ(a.sampled_refs, b.sampled_refs);
+    EXPECT_EQ(a.evicted_pages, b.evicted_pages);
+    EXPECT_EQ(a.threshold_drops, b.threshold_drops);
+    if (options.max_pages > 0) {
+      EXPECT_GT(a.evicted_pages, 0u);
+      EXPECT_LE(chunked.sampled_pages(), options.max_pages);
+    }
   }
-  EXPECT_TRUE(whole.histogram() == chunked.histogram());
-  EXPECT_EQ(whole.sampling_summary().total_refs,
-            chunked.sampling_summary().total_refs);
-  EXPECT_EQ(whole.sampling_summary().sampled_refs,
-            chunked.sampling_summary().sampled_refs);
 }
 
 // Serial and sharded fixed-rate runs agree exactly for every shard count:
