@@ -2,47 +2,70 @@
 
 namespace epfis {
 
-void LruReplacer::RecordAccess(FrameId frame) {
-  auto it = entries_.find(frame);
-  if (it != entries_.end()) {
-    lru_.erase(it->second.pos);
-    lru_.push_back(frame);
-    it->second.pos = std::prev(lru_.end());
-    return;
+LruReplacer::LruReplacer(size_t num_frames) : nodes_(num_frames) {}
+
+void LruReplacer::PushBack(FrameId frame) {
+  Node& node = nodes_[frame];
+  node.prev = tail_;
+  node.next = kNil;
+  if (tail_ == kNil) {
+    head_ = frame;
+  } else {
+    nodes_[tail_].next = frame;
   }
-  lru_.push_back(frame);
-  entries_[frame] = Entry{std::prev(lru_.end()), false};
+  tail_ = frame;
+}
+
+void LruReplacer::Unlink(FrameId frame) {
+  Node& node = nodes_[frame];
+  if (node.prev == kNil) {
+    head_ = node.next;
+  } else {
+    nodes_[node.prev].next = node.next;
+  }
+  if (node.next == kNil) {
+    tail_ = node.prev;
+  } else {
+    nodes_[node.next].prev = node.prev;
+  }
+}
+
+void LruReplacer::RecordAccess(FrameId frame) {
+  if (frame >= nodes_.size()) nodes_.resize(frame + 1);
+  Node& node = nodes_[frame];
+  if (node.tracked) {
+    if (tail_ == frame) return;  // Already the most recent.
+    Unlink(frame);
+  } else {
+    node.tracked = true;
+    node.evictable = false;
+    ++num_tracked_;
+  }
+  PushBack(frame);
 }
 
 void LruReplacer::SetEvictable(FrameId frame, bool evictable) {
-  auto it = entries_.find(frame);
-  if (it == entries_.end()) {
-    // Unknown frame: treat as an access first so SetEvictable is safe to
-    // call in any order.
-    RecordAccess(frame);
-    it = entries_.find(frame);
-  }
-  it->second.evictable = evictable;
+  // Unknown frame: treat as an access first so SetEvictable is safe to call
+  // in any order.
+  if (frame >= nodes_.size() || !nodes_[frame].tracked) RecordAccess(frame);
+  nodes_[frame].evictable = evictable;
 }
 
 std::optional<FrameId> LruReplacer::Evict() {
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    auto entry = entries_.find(*it);
-    if (entry->second.evictable) {
-      FrameId victim = *it;
-      lru_.erase(it);
-      entries_.erase(entry);
-      return victim;
+  for (FrameId frame = head_; frame != kNil; frame = nodes_[frame].next) {
+    if (nodes_[frame].evictable) {
+      Remove(frame);
+      return frame;
     }
   }
   return std::nullopt;
 }
 
 void LruReplacer::Remove(FrameId frame) {
-  auto it = entries_.find(frame);
-  if (it == entries_.end()) return;
-  lru_.erase(it->second.pos);
-  entries_.erase(it);
+  if (frame >= nodes_.size() || !nodes_[frame].tracked) return;
+  Unlink(frame);
+  nodes_[frame] = Node{};
+  --num_tracked_;
 }
 
 }  // namespace epfis

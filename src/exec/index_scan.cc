@@ -1,8 +1,7 @@
 #include "exec/index_scan.h"
 
-#include <unordered_set>
-
 #include "index/btree_iterator.h"
+#include "storage/record.h"
 #include "storage/slotted_page.h"
 
 namespace epfis {
@@ -26,7 +25,9 @@ Result<IndexScanResult> RunIndexScan(const BTree& index,
                                      const IndexScanOptions& options) {
   IndexScanResult result;
   uint64_t fetches_before = data_pool->stats().fetches;
-  std::unordered_set<PageId> accessed;
+  // One bit per data-disk page: A is counted as bits are first set, so the
+  // loop allocates nothing per record.
+  std::vector<uint64_t> accessed((data_pool->disk().num_pages() + 63) / 64);
 
   EPFIS_ASSIGN_OR_RETURN(BTreeIterator it, SeekToRangeStart(index, range));
   int64_t hi = range.EffectiveHi();
@@ -35,19 +36,19 @@ Result<IndexScanResult> RunIndexScan(const BTree& index,
     ++result.entries_examined;
     if (filter == nullptr || filter->Keep(entry)) {
       ++result.records_fetched;
-      EPFIS_ASSIGN_OR_RETURN(PageGuard guard,
-                             data_pool->FetchPage(entry.rid.page_id));
-      accessed.insert(entry.rid.page_id);
-      if (options.collect_trace) {
-        result.page_trace.push_back(entry.rid.page_id);
-      }
+      const PageId page_id = entry.rid.page_id;
+      EPFIS_ASSIGN_OR_RETURN(PageGuard guard, data_pool->FetchPage(page_id));
+      uint64_t& word = accessed[page_id / 64];
+      const uint64_t bit = uint64_t{1} << (page_id % 64);
+      result.data_pages_accessed += (word & bit) == 0;
+      word |= bit;
+      if (options.collect_trace) result.page_trace.push_back(page_id);
       if (options.verify_records) {
         SlottedPage page(const_cast<char*>(guard.data()));
         EPFIS_ASSIGN_OR_RETURN(std::string_view bytes,
                                page.Get(entry.rid.slot));
-        EPFIS_ASSIGN_OR_RETURN(
-            Record record, Record::Deserialize(heap.schema(), bytes));
-        if (record.value(0) != entry.key) {
+        EPFIS_RETURN_IF_ERROR(Record::CheckSize(heap.schema(), bytes));
+        if (Record::FieldAt(bytes, 0) != entry.key) {
           return Status::Corruption(
               "index entry key does not match stored record at rid " +
               entry.rid.ToString());
@@ -58,7 +59,6 @@ Result<IndexScanResult> RunIndexScan(const BTree& index,
   }
 
   result.data_page_fetches = data_pool->stats().fetches - fetches_before;
-  result.data_pages_accessed = accessed.size();
   return result;
 }
 

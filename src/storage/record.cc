@@ -16,18 +16,20 @@ Result<std::string> Record::Serialize(const Schema& schema) const {
   return out;
 }
 
-Result<Record> Record::Deserialize(const Schema& schema,
-                                   std::string_view data) {
+Status Record::CheckSize(const Schema& schema, std::string_view data) {
   if (data.size() != schema.record_size()) {
     return Status::Corruption("serialized record has size " +
                               std::to_string(data.size()) + ", expected " +
                               std::to_string(schema.record_size()));
   }
+  return Status::Ok();
+}
+
+Result<Record> Record::Deserialize(const Schema& schema,
+                                   std::string_view data) {
+  EPFIS_RETURN_IF_ERROR(CheckSize(schema, data));
   std::vector<int64_t> values(schema.num_columns());
-  for (size_t i = 0; i < values.size(); ++i) {
-    std::memcpy(&values[i], data.data() + i * sizeof(int64_t),
-                sizeof(int64_t));
-  }
+  for (size_t i = 0; i < values.size(); ++i) values[i] = FieldAt(data, i);
   return Record(std::move(values));
 }
 

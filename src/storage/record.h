@@ -2,6 +2,7 @@
 #define EPFIS_STORAGE_RECORD_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,20 @@ class Record {
   /// Parses a serialized record. Fails on size mismatch.
   static Result<Record> Deserialize(const Schema& schema,
                                     std::string_view data);
+
+  /// The size check of Deserialize on its own: Ok, or the same Corruption
+  /// status Deserialize returns for `data`.
+  static Status CheckSize(const Schema& schema, std::string_view data);
+
+  /// Field `column` of a serialized record, read in place without
+  /// materializing the record. Precondition: CheckSize(schema, data).ok()
+  /// and column < schema.num_columns().
+  static int64_t FieldAt(std::string_view data, size_t column) {
+    int64_t value = 0;
+    std::memcpy(&value, data.data() + column * sizeof(int64_t),
+                sizeof(int64_t));
+    return value;
+  }
 
   friend bool operator==(const Record& a, const Record& b) {
     return a.values_ == b.values_;

@@ -68,10 +68,12 @@ void Watchdog::MonitorLoop() {
       if (!hb->tripped_.load(std::memory_order_relaxed)) {
         int64_t last = hb->last_beat_ns_.load(std::memory_order_relaxed);
         if (now - last > hb->budget_ns_) {
+          // Record the trip before firing the token, so whoever sees the
+          // token fired also sees the trip counted.
           hb->tripped_.store(true, std::memory_order_relaxed);
-          hb->token_.Cancel();
           trips_.fetch_add(1, std::memory_order_relaxed);
           trips_counter.Increment();
+          hb->token_.Cancel();
         }
       }
       watched_[keep++] = watched_[i];

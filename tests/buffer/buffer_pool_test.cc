@@ -90,10 +90,20 @@ TEST_F(BufferPoolTest, AllFramesPinnedFailsGracefully) {
 }
 
 TEST_F(BufferPoolTest, FetchUnknownPageFails) {
-  BufferPool pool(&disk_, 2);
+  // A failed fetch must not evict anything: on a one-frame pool the
+  // resident page still hits afterwards and no eviction is counted.
+  PageId p0 = disk_.AllocatePage();
+  BufferPool pool(&disk_, 1);
+  { ASSERT_TRUE(pool.FetchPage(p0).ok()); }
+  const BufferPoolStats before = pool.stats();
   auto g = pool.FetchPage(99);
   EXPECT_FALSE(g.ok());
   EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(pool.stats().evictions, before.evictions);
+  EXPECT_EQ(pool.stats().fetches, before.fetches);
+  { ASSERT_TRUE(pool.FetchPage(p0).ok()); }
+  EXPECT_EQ(pool.stats().hits, before.hits + 1);
+  EXPECT_EQ(pool.stats().evictions, before.evictions);
   // The frame must be reusable afterwards.
   EXPECT_TRUE(pool.NewPage().ok());
 }
@@ -148,6 +158,69 @@ TEST_F(BufferPoolTest, LruEvictionOrderRespected) {
   EXPECT_EQ(pool.stats().fetches, 0u);
   { ASSERT_TRUE(pool.FetchPage(pids[1]).ok()); }  // Miss: was evicted.
   EXPECT_EQ(pool.stats().fetches, 1u);
+}
+
+TEST_F(BufferPoolTest, EvictionOrderWithOverlappingPins) {
+  // Recency is set by the fetch, not by the unpin; pinned frames keep their
+  // place in the order and are skipped; a page pinned twice stays pinned
+  // until both pins are gone.
+  PageId p[6];
+  for (PageId& id : p) id = disk_.AllocatePage();
+  BufferPool pool(&disk_, 3);
+  auto a = pool.FetchPage(p[0]);
+  auto b = pool.FetchPage(p[1]);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  { ASSERT_TRUE(pool.FetchPage(p[2]).ok()); }
+  auto a2 = pool.FetchPage(p[0]);  // Second pin of p0; p0 is now MRU.
+  ASSERT_TRUE(a2.ok());
+  EXPECT_EQ(pool.num_pinned(), 2u);
+  a->Release();  // p0 is still pinned through a2.
+  EXPECT_EQ(pool.num_pinned(), 2u);
+
+  // Order p1, p2, p0 (LRU first); only p2 is evictable.
+  { ASSERT_TRUE(pool.FetchPage(p[3]).ok()); }
+  EXPECT_EQ(pool.stats().evictions, 1u);
+  // Order p1, p0, p3; p3 is the only evictable frame.
+  { ASSERT_TRUE(pool.FetchPage(p[4]).ok()); }
+  EXPECT_EQ(pool.stats().evictions, 2u);
+  // Order p1, p0, p4: with p1 and p0 pinned only p4 can go.
+  { ASSERT_TRUE(pool.FetchPage(p[5]).ok()); }
+  EXPECT_EQ(pool.stats().evictions, 3u);
+
+  b->Release();
+  a2->Release();
+  EXPECT_EQ(pool.num_pinned(), 0u);
+  // Order p1, p0, p5, all evictable: p1 goes first, then p0.
+  pool.ResetStats();
+  { ASSERT_TRUE(pool.FetchPage(p[2]).ok()); }  // Evicts p1.
+  { ASSERT_TRUE(pool.FetchPage(p[5]).ok()); }  // Hit.
+  { ASSERT_TRUE(pool.FetchPage(p[0]).ok()); }  // Hit.
+  EXPECT_EQ(pool.stats().fetches, 1u);
+  EXPECT_EQ(pool.stats().hits, 2u);
+  // Order p2, p5, p0.
+  { ASSERT_TRUE(pool.FetchPage(p[1]).ok()); }  // Evicts p2.
+  { ASSERT_TRUE(pool.FetchPage(p[5]).ok()); }  // Hit.
+  { ASSERT_TRUE(pool.FetchPage(p[2]).ok()); }  // Miss: evicts p0.
+  EXPECT_EQ(pool.stats().fetches, 3u);
+  EXPECT_EQ(pool.stats().hits, 3u);
+  EXPECT_EQ(pool.stats().evictions, 3u);
+
+  // Every frame pinned, one page twice: a miss has no victim.
+  auto x = pool.FetchPage(p[1]);
+  auto y = pool.FetchPage(p[5]);
+  auto z = pool.FetchPage(p[2]);
+  auto z2 = pool.FetchPage(p[2]);
+  ASSERT_TRUE(x.ok() && y.ok() && z.ok() && z2.ok());
+  auto none = pool.FetchPage(p[3]);
+  EXPECT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kResourceExhausted);
+  z->Release();  // p2 is still pinned by z2.
+  none = pool.FetchPage(p[3]);
+  EXPECT_EQ(none.status().code(), StatusCode::kResourceExhausted);
+  z2->Release();
+  EXPECT_TRUE(pool.FetchPage(p[3]).ok());  // Evicts p2.
+  EXPECT_EQ(pool.num_pinned(), 2u);
 }
 
 TEST_F(BufferPoolTest, StatsCountRequestsHitsFetches) {

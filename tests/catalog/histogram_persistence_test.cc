@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string>
 
 #include "catalog/catalog.h"
 #include "workload/data_gen.h"
@@ -25,7 +27,11 @@ class HistogramPersistenceTest : public ::testing::Test {
     ASSERT_TRUE(catalog_.RegisterTable("t", dataset_->table()).ok());
     ASSERT_TRUE(
         catalog_.RegisterIndex("t.key", "t", 0, dataset_->index()).ok());
-    path_ = testing::TempDir() + "/epfis_histograms_test.txt";
+    // Per-test path: ctest runs each TEST as its own process, and
+    // parallel processes sharing one file would race on it.
+    path_ = testing::TempDir() + "/epfis_histograms_test_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".txt";
   }
 
   void TearDown() override { std::remove(path_.c_str()); }

@@ -1,9 +1,11 @@
 #include "epfis/trace_io.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "epfis/lru_fit.h"
 #include "util/random.h"
@@ -14,7 +16,11 @@ namespace {
 class TraceIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/epfis_trace_test.bin";
+    // Per-test path: ctest runs each TEST as its own process, and
+    // parallel processes sharing one file would race on it.
+    path_ = testing::TempDir() + "/epfis_trace_test_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
