@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "epfis/lru_fit.h"
 #include "util/polynomial.h"
 #include "util/table_printer.h"
@@ -73,7 +73,7 @@ int Run(int argc, char** argv) {
     }
 
     // Dense ground truth: every 1% of T.
-    StackDistanceSimulator sim(trace->size());
+    StackDistanceKernel sim(trace->size());
     sim.AccessAll(*trace);
     double seg_max = 0, seg_sum = 0, p6_max = 0, p6_sum = 0, p13_max = 0,
            p13_sum = 0;

@@ -14,7 +14,7 @@
 #include "buffer/clock_replacer.h"
 #include "buffer/lru_replacer.h"
 #include "buffer/policy_simulator.h"
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "epfis/epfis.h"
 #include "exec/index_scan.h"
 #include "util/table_printer.h"
@@ -55,7 +55,7 @@ int Run(int argc, char** argv) {
         CollectScanTrace(*(*dataset)->index(),
                          KeyRange::Closed(scan.lo_key, scan.hi_key))
             .value();
-    StackDistanceSimulator lru_sim(trace.size() + 1);
+    StackDistanceKernel lru_sim(trace.size() + 1);
     lru_sim.AccessAll(trace);
 
     std::cout << "--- K = " << k << " (sigma = " << scan.sigma << ", "

@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "exec/index_scan.h"
 #include "util/table_printer.h"
 #include "workload/data_gen.h"
@@ -66,7 +66,7 @@ int Run(int argc, char** argv) {
             CollectScanTrace(*(*dataset)->index(),
                              KeyRange::Closed(scan.lo_key, scan.hi_key))
                 .value();
-        StackDistanceSimulator sim(trace.size() + 1);
+        StackDistanceKernel sim(trace.size() + 1);
         sim.AccessAll(trace);
         sum_actual += static_cast<double>(sim.Fetches(buffer));
         sum_est += EstIo::Estimate(stats, {scan.sigma, 1.0, buffer},

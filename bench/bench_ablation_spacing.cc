@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "util/table_printer.h"
 #include "workload/data_gen.h"
 
@@ -51,7 +51,7 @@ int Run(int argc, char** argv) {
       std::cerr << trace.status().ToString() << '\n';
       return 1;
     }
-    StackDistanceSimulator sim(trace->size());
+    StackDistanceKernel sim(trace->size());
     sim.AccessAll(*trace);
     uint64_t t = (*dataset)->num_pages();
 

@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "epfis/epfis.h"
 #include "exec/index_scan.h"
 #include "exec/multi_index.h"
@@ -54,7 +54,7 @@ int Run(int argc, char** argv) {
 
   RidList list = RidList::FromIndexRange(*dataset.index(), range).value();
   auto scan_trace = CollectScanTrace(*dataset.index(), range).value();
-  StackDistanceSimulator sim(scan_trace.size() + 1);
+  StackDistanceKernel sim(scan_trace.size() + 1);
   sim.AccessAll(scan_trace);
 
   std::cout << "Part 1: ordered index scan vs RID-sort fetch (sigma="

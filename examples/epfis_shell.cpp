@@ -28,12 +28,12 @@
 //       one EstIo::EstimateBatch call over the cross product of the sigma
 //       and buffer lists (the handle is resolved once); prints per-probe
 //       provenance
-//   save PATH [v2|v3]
-//       write the statistics catalog (crash-safe: tmp + fsync + rename);
-//       v2 = checksummed text (default), v3 = binary mmap-able
-//   catalog convert SRC DST [v2|v3]
-//       re-encode a catalog file between formats (default: to v3); SRC
-//       may be any loadable version (v1/v2 text or v3 binary)
+//   save PATH
+//       write the statistics catalog as binary v3 (crash-safe: tmp +
+//       fsync + rename)
+//   catalog convert SRC DST
+//       rewrite a catalog file as v3; SRC may be any loadable version
+//       (v1/v2 text import or v3 binary)
 //   load PATH
 //       recovering catalog load; prints the provenance report (entries
 //       loaded / quarantined, checksum failures)
@@ -422,47 +422,26 @@ class Shell {
 
   Status Save(std::istringstream& args) {
     std::string path;
-    if (!(args >> path)) {
-      return Status::InvalidArgument("usage: save PATH [v2|v3]");
-    }
-    std::string format = "v2";
-    args >> format;
-    if (format == "v3") {
-      EPFIS_RETURN_IF_ERROR(catalog_.stats().SaveToFileV3(path));
-    } else if (format == "v2") {
-      EPFIS_RETURN_IF_ERROR(catalog_.stats().SaveToFile(path));
-    } else {
-      return Status::InvalidArgument("save: format must be v2 or v3");
-    }
+    if (!(args >> path)) return Status::InvalidArgument("usage: save PATH");
+    EPFIS_RETURN_IF_ERROR(catalog_.stats().SaveToFileV3(path));
     std::cout << "saved " << catalog_.stats().size() << " entries to "
-              << path << " (" << format << ")\n";
+              << path << " (v3)\n";
     return Status::Ok();
   }
 
   Status CatalogCmd(std::istringstream& args) {
-    std::string verb;
-    if (!(args >> verb) || verb != "convert") {
-      return Status::InvalidArgument("usage: catalog convert SRC DST [v2|v3]");
-    }
-    std::string src, dst;
-    if (!(args >> src >> dst)) {
-      return Status::InvalidArgument("usage: catalog convert SRC DST [v2|v3]");
-    }
-    std::string format = "v3";
-    args >> format;
-    if (format != "v2" && format != "v3") {
-      return Status::InvalidArgument(
-          "catalog convert: format must be v2 or v3");
+    std::string verb, src, dst;
+    if (!(args >> verb >> src >> dst) || verb != "convert") {
+      return Status::InvalidArgument("usage: catalog convert SRC DST");
     }
     // Round-trip through a scratch catalog: SRC may be any loadable
-    // version (the load sniffs v3 magic, else parses v1/v2 text). Strict
+    // version (the load sniffs v3 magic, else imports v1/v2 text). Strict
     // load — converting silently past corrupt entries would launder them.
     StatsCatalog scratch;
     EPFIS_RETURN_IF_ERROR(scratch.LoadFromFile(src));
-    EPFIS_RETURN_IF_ERROR(format == "v3" ? scratch.SaveToFileV3(dst)
-                                         : scratch.SaveToFile(dst));
-    std::cout << "converted " << src << " -> " << dst << " (" << format
-              << ", " << scratch.size() << " entries)\n";
+    EPFIS_RETURN_IF_ERROR(scratch.SaveToFileV3(dst));
+    std::cout << "converted " << src << " -> " << dst << " (v3, "
+              << scratch.size() << " entries)\n";
     return Status::Ok();
   }
 

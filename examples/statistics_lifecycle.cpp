@@ -111,8 +111,8 @@ int main() {
     std::cerr << stats_or.status().ToString() << '\n';
     return 1;
   }
-  const std::string path = "/tmp/epfis_example_catalog.txt";
-  if (Status s = catalog.SaveToFile(path); !s.ok()) {
+  const std::string path = "/tmp/epfis_example_catalog.cat";
+  if (Status s = catalog.SaveToFileV3(path); !s.ok()) {
     std::cerr << s.ToString() << '\n';
     return 1;
   }

@@ -1,6 +1,6 @@
 #include "baselines/estimator.h"
 
-#include "buffer/lru_simulator.h"
+#include "buffer/stack_distance_kernel.h"
 
 namespace epfis {
 
@@ -13,8 +13,8 @@ Result<BaselineTraceStats> CollectBaselineTraceStats(
   stats.table_pages = table_pages;
   stats.table_records = refs.size();
 
-  LruSimulator one(1);
-  LruSimulator three(3);
+  // One Mattson pass answers both buffer sizes.
+  StackDistanceKernel lru(refs.size());
 
   // Per-key first/last page for DC's cluster counter.
   int64_t current_key = refs.front().key;
@@ -45,13 +45,12 @@ Result<BaselineTraceStats> CollectBaselineTraceStats(
       first_page = refs[i].page;
     }
     last_page = refs[i].page;
-    one.Access(refs[i].page);
-    three.Access(refs[i].page);
+    lru.Access(refs[i].page);
   }
   close_key();
 
-  stats.j1 = one.fetches();
-  stats.j3 = three.fetches();
+  stats.j1 = lru.Fetches(1);
+  stats.j3 = lru.Fetches(3);
   return stats;
 }
 

@@ -53,7 +53,7 @@ struct StackDistanceOptions {
 /// Computes the LRU stack-distance histogram of `trace`.
 ///
 /// With `pool == nullptr` (or a single worker) this streams the trace
-/// through the serial StackDistanceSimulator. Otherwise the trace is split
+/// through the serial StackDistanceKernel. Otherwise the trace is split
 /// into shards processed concurrently on `pool`, and a sequential merge,
 /// streamed on the calling thread as shards finish, resolves the
 /// references whose previous access lies in an earlier shard (see

@@ -99,14 +99,35 @@ uint32_t EntryCrc(const EntryFixedV3& fixed, const char* knot_bytes,
 }
 
 // One structurally validated entry of a v3 image: offsets bounds-checked
-// and aligned, CRC verdict computed, payload pointers into the image.
+// and aligned, payload pointers into the image, and the one per-entry
+// verdict both readers (Decode and OpenCatalogSnapshotV3) act on.
 struct ParsedEntry {
   std::string_view name;
   const EntryFixedV3* fixed = nullptr;
   const char* knot_bytes = nullptr;  // 8-aligned, knot_count * 16 bytes.
   uint32_t knot_count = 0;
-  bool crc_ok = false;
+  // Why the entry must be quarantined; nullptr when it is servable.
+  const char* problem = nullptr;
+  bool checksum_failure = false;
 };
+
+// The per-entry verdict: CRC first (nothing else in a damaged entry can be
+// trusted), then the name, then the knots, which must form a curve
+// PiecewiseLinear::FromKnots accepts — none, or >= 2 with strictly
+// increasing x (NaN fails the comparison too).
+const char* EntryProblem(const ParsedEntry& entry, bool crc_ok) {
+  if (!crc_ok) return "entry checksum mismatch";
+  if (entry.name.empty()) return "entry without name";
+  if (entry.knot_count == 1) return "degenerate 1-knot curve";
+  for (uint32_t i = 1; i < entry.knot_count; ++i) {
+    Knot a;
+    Knot b;
+    std::memcpy(&a, entry.knot_bytes + (i - 1) * sizeof(Knot), sizeof(Knot));
+    std::memcpy(&b, entry.knot_bytes + i * sizeof(Knot), sizeof(Knot));
+    if (!(a.x < b.x)) return "knot x not strictly increasing";
+  }
+  return nullptr;
+}
 
 struct ParsedV3 {
   std::vector<ParsedEntry> entries;
@@ -181,14 +202,17 @@ Result<ParsedV3> ParseV3(const char* data, size_t size) {
     entry.knot_count = record.knot_count;
     EntryFixedV3 fixed;
     std::memcpy(&fixed, entry.fixed, sizeof(fixed));
-    entry.crc_ok = EntryCrc(fixed, entry.knot_bytes, knot_bytes,
-                            entry.name) == record.entry_crc;
+    bool crc_ok = EntryCrc(fixed, entry.knot_bytes, knot_bytes,
+                           entry.name) == record.entry_crc;
+    entry.problem = EntryProblem(entry, crc_ok);
+    entry.checksum_failure = !crc_ok;
     parsed.entries.push_back(entry);
   }
   return parsed;
 }
 
-Result<IndexStats> MaterializeEntry(const ParsedEntry& entry) {
+// Copies a servable entry (problem == nullptr) out of the image.
+IndexStats MaterializeEntry(const ParsedEntry& entry) {
   EntryFixedV3 fixed;
   std::memcpy(&fixed, entry.fixed, sizeof(fixed));
   IndexStats stats;
@@ -210,15 +234,16 @@ Result<IndexStats> MaterializeEntry(const ParsedEntry& entry) {
     std::vector<Knot> knots(entry.knot_count);
     std::memcpy(knots.data(), entry.knot_bytes,
                 entry.knot_count * sizeof(Knot));
-    auto curve = PiecewiseLinear::FromKnots(std::move(knots));
-    if (!curve.ok()) {
-      return Status::Corruption("stats catalog v3: entry '" +
-                                stats.index_name + "': " +
-                                std::string(curve.status().message()));
-    }
-    stats.fpf = std::move(curve).value();
+    // EntryProblem already enforced FromKnots' preconditions.
+    stats.fpf = PiecewiseLinear::FromKnots(std::move(knots)).value();
   }
   return stats;
+}
+
+// "entry N: <problem>", N 1-based in file order — the quarantine reason
+// both readers report.
+std::string DescribeProblem(size_t slot, const ParsedEntry& entry) {
+  return "entry " + std::to_string(slot) + ": " + entry.problem;
 }
 
 }  // namespace
@@ -305,28 +330,16 @@ Result<CatalogV3::Contents> CatalogV3::Decode(const char* data, size_t size,
   size_t slot = 0;
   for (const ParsedEntry& entry : parsed.entries) {
     ++slot;
-    std::string reason;
-    bool checksum_failure = false;
-    if (!entry.crc_ok) {
-      reason = "entry checksum mismatch";
-      checksum_failure = true;
-    } else {
-      Result<IndexStats> stats = MaterializeEntry(entry);
-      if (stats.ok() && stats->index_name.empty()) {
-        reason = "entry without name";
-      } else if (!stats.ok()) {
-        reason = std::string(stats.status().message());
-      } else {
-        contents.entries[stats->index_name] = std::move(*stats);
-        continue;
-      }
+    if (entry.problem == nullptr) {
+      IndexStats stats = MaterializeEntry(entry);
+      contents.entries[stats.index_name] = std::move(stats);
+      continue;
     }
-    std::string described =
-        "entry " + std::to_string(slot) + ": " + reason;
+    std::string described = DescribeProblem(slot, entry);
     if (!recover) {
       return Status::Corruption("stats catalog v3: " + described);
     }
-    if (checksum_failure) ++contents.checksum_failures;
+    if (entry.checksum_failure) ++contents.checksum_failures;
     contents.quarantine_reasons.push_back(described);
     if (!entry.name.empty()) {
       contents.quarantined[std::string(entry.name)] = described;
@@ -440,16 +453,8 @@ Result<std::shared_ptr<const CatalogSnapshot>> OpenCatalogSnapshotV3(
     ++slot;
     CatalogSnapshot::Entry entry;
     entry.name = parsed_entry.name;
-    // A 1-knot curve is unrepresentable (PiecewiseLinear needs >= 2);
-    // quarantine it like the materializing decode would.
-    bool degenerate_curve = parsed_entry.knot_count == 1;
-    if (!parsed_entry.crc_ok || parsed_entry.name.empty() ||
-        degenerate_curve) {
-      backing->reasons.push_back(
-          "entry " + std::to_string(slot) +
-          (!parsed_entry.crc_ok ? ": entry checksum mismatch"
-           : degenerate_curve  ? ": degenerate 1-knot curve"
-                               : ": entry without name"));
+    if (parsed_entry.problem != nullptr) {
+      backing->reasons.push_back(DescribeProblem(slot, parsed_entry));
       entry.quarantined = true;
       entry.quarantine_reason = backing->reasons.back();
       entries.push_back(entry);
@@ -465,7 +470,8 @@ Result<std::shared_ptr<const CatalogSnapshot>> OpenCatalogSnapshotV3(
         CardenasLogQ(static_cast<double>(fixed.table_pages));
     if (parsed_entry.knot_count >= 2) {
       // The zero-copy read: knots are interpreted in place. ParseV3
-      // verified 8-byte alignment and bounds; the CRC verified content.
+      // verified 8-byte alignment and bounds, the CRC the content, and
+      // EntryProblem the curve shape.
       entry.view.knots =
           reinterpret_cast<const Knot*>(parsed_entry.knot_bytes);
       entry.view.knot_count = parsed_entry.knot_count;

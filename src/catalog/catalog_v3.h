@@ -14,8 +14,9 @@
 
 namespace epfis {
 
-/// The binary, mmap-able stats-catalog format (v3) — the serving-side
-/// companion of the v1/v2 text formats in stats_catalog.cc.
+/// The binary, mmap-able stats-catalog format (v3) — the one format the
+/// catalog writes (the v1/v2 text formats in stats_catalog.cc are
+/// read-only imports).
 ///
 /// Layout (all integers and doubles little-endian, offsets absolute):
 ///
@@ -35,7 +36,9 @@ namespace epfis {
 /// Integrity mirrors v2: one CRC32C per entry (covering its fixed fields,
 /// knots, and name) plus a header CRC, so torn writes and bit rot are
 /// detected per entry and a recovering load can quarantine just the bad
-/// ones. The 8-byte alignment of the knot arrays is what makes the
+/// ones. Both readers below act on one per-entry verdict computed while
+/// parsing — CRC, empty name, a 1-knot curve, knot x not strictly
+/// increasing (or NaN) — so they always agree on which entries are bad. The 8-byte alignment of the knot arrays is what makes the
 /// zero-copy load legal: OpenCatalogSnapshotV3 maps the file and hands out
 /// IndexStatsView entries whose knot pointers aim straight into the
 /// mapping — no parse, no copy, O(file size) page-cache warmup only.
@@ -67,10 +70,10 @@ struct CatalogV3 {
 };
 
 /// Zero-copy serving load: maps `path`, validates the header and every
-/// entry CRC once, and returns a CatalogSnapshot whose FPF knot views
-/// point directly into the mapping (kept alive by the snapshot). Entries
-/// failing their CRC are quarantined in the snapshot, same contract as a
-/// recovering text load. Uses the catalog.load.* fault points.
+/// entry once, and returns a CatalogSnapshot whose FPF knot views point
+/// directly into the mapping (kept alive by the snapshot). Entries the
+/// recovering Decode would quarantine are quarantined in the snapshot,
+/// with the same reasons. Uses the catalog.load.* fault points.
 Result<std::shared_ptr<const CatalogSnapshot>> OpenCatalogSnapshotV3(
     const std::string& path, uint64_t generation = 0);
 

@@ -1,11 +1,13 @@
 #include "catalog/stats_catalog.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "catalog/catalog_v3.h"
@@ -21,17 +23,21 @@
 namespace epfis {
 namespace {
 
-// v2 on-disk format markers (see the class comment in the header).
+// v1/v2 text import markers (see the class comment in the header).
 constexpr const char* kCatalogHeaderV2 = "[epfis-stats-catalog-v2]";
 constexpr const char* kCatalogHeaderPrefix = "[epfis-stats-catalog-v";
 constexpr const char* kEntryOpen = "[index]";
 constexpr const char* kEntryCloseV1 = "[end]";
 constexpr const char* kEntryClosePrefix = "[end crc=";
 
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+// Whole-value numeric parses: trailing junk, a sign on an unsigned field,
+// an empty value or an out-of-range number is a field error, never a
+// silent 0 or a wrapped negative.
+template <typename T>
+bool ParseNumber(std::string_view value, T* out) {
+  auto [end, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), *out);
+  return ec == std::errc() && end == value.data() + value.size();
 }
 
 // Parses one `key=value` field line into `current`. Returns a non-empty
@@ -40,51 +46,56 @@ std::string ParseField(const std::string& line, IndexStats* current) {
   size_t eq = line.find('=');
   if (eq == std::string::npos) return "expected key=value";
   std::string key = line.substr(0, eq);
-  std::string value = line.substr(eq + 1);
+  std::string_view value = std::string_view(line).substr(eq + 1);
+  bool ok = true;
   if (key == "name") {
-    current->index_name = value;
+    current->index_name = std::string(value);
   } else if (key == "table_pages") {
-    current->table_pages = std::strtoull(value.c_str(), nullptr, 10);
+    ok = ParseNumber(value, &current->table_pages);
   } else if (key == "table_records") {
-    current->table_records = std::strtoull(value.c_str(), nullptr, 10);
+    ok = ParseNumber(value, &current->table_records);
   } else if (key == "distinct_keys") {
-    current->distinct_keys = std::strtoull(value.c_str(), nullptr, 10);
+    ok = ParseNumber(value, &current->distinct_keys);
   } else if (key == "pages_accessed") {
-    current->pages_accessed = std::strtoull(value.c_str(), nullptr, 10);
+    ok = ParseNumber(value, &current->pages_accessed);
   } else if (key == "b_min") {
-    current->b_min = std::strtoull(value.c_str(), nullptr, 10);
+    ok = ParseNumber(value, &current->b_min);
   } else if (key == "b_max") {
-    current->b_max = std::strtoull(value.c_str(), nullptr, 10);
+    ok = ParseNumber(value, &current->b_max);
   } else if (key == "f_min") {
-    current->f_min = std::strtoull(value.c_str(), nullptr, 10);
+    ok = ParseNumber(value, &current->f_min);
   } else if (key == "clustering") {
-    current->clustering = std::strtod(value.c_str(), nullptr);
+    ok = ParseNumber(value, &current->clustering);
   } else if (key == "sample_rate") {
     // Absent in pre-sampling catalogs; the IndexStats default (1.0,
     // exact) then applies.
-    current->sample_rate = std::strtod(value.c_str(), nullptr);
+    ok = ParseNumber(value, &current->sample_rate);
   } else if (key == "sampled_refs") {
-    current->sampled_refs = std::strtoull(value.c_str(), nullptr, 10);
+    ok = ParseNumber(value, &current->sampled_refs);
   } else if (key == "online_generation") {
     // Online-mode provenance trio: absent in pre-online catalogs, where
     // the IndexStats zero defaults (a batch entry) apply.
-    current->online_generation = std::strtoull(value.c_str(), nullptr, 10);
+    ok = ParseNumber(value, &current->online_generation);
   } else if (key == "window_refs") {
-    current->window_refs = std::strtoull(value.c_str(), nullptr, 10);
+    ok = ParseNumber(value, &current->window_refs);
   } else if (key == "drift_error") {
-    current->drift_error = std::strtod(value.c_str(), nullptr);
+    ok = ParseNumber(value, &current->drift_error);
   } else if (key == "knots") {
     if (value.empty()) return "";
     std::vector<Knot> knots;
-    std::istringstream ks(value);
-    std::string pair;
-    while (std::getline(ks, pair, ',')) {
+    while (true) {
+      size_t comma = value.find(',');
+      std::string_view pair = value.substr(0, comma);
       size_t colon = pair.find(':');
-      if (colon == std::string::npos) return "bad knot pair";
       Knot k;
-      k.x = std::strtod(pair.substr(0, colon).c_str(), nullptr);
-      k.y = std::strtod(pair.substr(colon + 1).c_str(), nullptr);
+      if (colon == std::string_view::npos ||
+          !ParseNumber(pair.substr(0, colon), &k.x) ||
+          !ParseNumber(pair.substr(colon + 1), &k.y)) {
+        return "bad knot pair";
+      }
       knots.push_back(k);
+      if (comma == std::string_view::npos) break;
+      value.remove_prefix(comma + 1);
     }
     auto curve = PiecewiseLinear::FromKnots(std::move(knots));
     if (!curve.ok()) return std::string(curve.status().message());
@@ -92,7 +103,7 @@ std::string ParseField(const std::string& line, IndexStats* current) {
   } else {
     return "unknown field " + key;
   }
-  return "";
+  return ok ? "" : "malformed number in field " + key;
 }
 
 }  // namespace
@@ -181,55 +192,9 @@ std::shared_ptr<const CatalogSnapshot> StatsCatalog::snapshot() const {
   return snapshot_.load(std::memory_order_acquire);
 }
 
-std::string StatsCatalog::SaveToString() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return SaveToStringLocked();
-}
-
 std::string StatsCatalog::SaveToStringV3() const {
   std::lock_guard<std::mutex> lock(mu_);
   return CatalogV3::Encode(entries_);
-}
-
-std::string StatsCatalog::SaveToStringLocked() const {
-  std::ostringstream os;
-  os << kCatalogHeaderV2 << '\n';
-  for (const auto& [name, s] : entries_) {
-    // The entry body is built separately so its CRC32C can go into the
-    // trailer; the checksum covers exactly the field lines (with their
-    // newlines), not the [index]/[end] frame.
-    std::ostringstream body;
-    body << "name=" << name << '\n';
-    body << "table_pages=" << s.table_pages << '\n';
-    body << "table_records=" << s.table_records << '\n';
-    body << "distinct_keys=" << s.distinct_keys << '\n';
-    body << "pages_accessed=" << s.pages_accessed << '\n';
-    body << "b_min=" << s.b_min << '\n';
-    body << "b_max=" << s.b_max << '\n';
-    body << "f_min=" << s.f_min << '\n';
-    body << "clustering=" << FormatDouble(s.clustering) << '\n';
-    body << "sample_rate=" << FormatDouble(s.sample_rate) << '\n';
-    body << "sampled_refs=" << s.sampled_refs << '\n';
-    body << "online_generation=" << s.online_generation << '\n';
-    body << "window_refs=" << s.window_refs << '\n';
-    body << "drift_error=" << FormatDouble(s.drift_error) << '\n';
-    body << "knots=";
-    if (s.fpf.has_value()) {
-      bool first = true;
-      for (const Knot& k : s.fpf->knots()) {
-        if (!first) body << ',';
-        body << FormatDouble(k.x) << ':' << FormatDouble(k.y);
-        first = false;
-      }
-    }
-    body << '\n';
-    std::string body_text = body.str();
-    char crc_hex[16];
-    std::snprintf(crc_hex, sizeof(crc_hex), "%08x", Crc32c(body_text));
-    os << kEntryOpen << '\n'
-       << body_text << kEntryClosePrefix << crc_hex << "]\n";
-  }
-  return os.str();
 }
 
 Status StatsCatalog::LoadFromString(const std::string& text) {
@@ -406,8 +371,8 @@ namespace {
 
 #ifdef EPFIS_CATALOG_POSIX_IO
 
-// Crash-safe byte-image write shared by the v2 text and v3 binary saves:
-// tmp file + fsync + rename, catalog.save.* fault points throughout.
+// Crash-safe byte-image write behind SaveToFileV3: tmp file + fsync +
+// rename, catalog.save.* fault points throughout.
 Status WriteCatalogFileAtomic(const std::string& path,
                               const std::string& data) {
   const std::string tmp = path + ".tmp";
@@ -528,13 +493,9 @@ Result<std::string> ReadCatalogFile(const std::string& path) {
 
 }  // namespace
 
-Status StatsCatalog::SaveToFile(const std::string& path) const {
+Status StatsCatalog::SaveToFileV3(const std::string& path) const {
   // Serialize before touching the filesystem so a slow disk never holds
   // the catalog mutex.
-  return WriteCatalogFileAtomic(path, SaveToString());
-}
-
-Status StatsCatalog::SaveToFileV3(const std::string& path) const {
   return WriteCatalogFileAtomic(path, SaveToStringV3());
 }
 

@@ -40,22 +40,27 @@ struct CatalogLoadReport {
 /// RunLruFitBatch workers can publish entries while compilation threads
 /// read them. Get returns a copy, never a reference into the map.
 ///
-/// Entries round-trip through versioned on-disk formats, all of which
-/// load through the same auto-detecting entry points:
+/// One on-disk format is written; three load through the same
+/// auto-detecting entry points:
 ///
 ///   v3 (written)  — the binary mmap-able serving format (catalog_v3.h):
 ///                   packed entries + FPF knots with a CRC32C per entry,
 ///                   written by SaveToFileV3, loadable zero-copy as a
 ///                   CatalogSnapshot (OpenCatalogSnapshotV3).
-///   v2 (written)  — a `[epfis-stats-catalog-v2]` header line, then per
-///                   entry `[index]`, `key=value` fields, and an
+///   v2 (import)   — text: a `[epfis-stats-catalog-v2]` header line, then
+///                   per entry `[index]`, `key=value` fields, and an
 ///                   `[end crc=XXXXXXXX]` trailer whose CRC32C covers the
 ///                   field lines, so torn writes and bit rot are detected
 ///                   per entry instead of silently poisoning estimates.
-///   v1 (read)     — the pre-checksum format: no header, plain `[end]`
-///                   trailers. Still loads, with no integrity check.
+///   v1 (import)   — the pre-checksum text format: no header, plain
+///                   `[end]` trailers, no integrity check.
 ///
-/// SaveToFile is crash-safe: the catalog is written to `path + ".tmp"`,
+/// A text field whose value is not wholly a valid number (trailing junk,
+/// a sign on an unsigned field, out of range) is a field error: strict
+/// loads fail, recovering loads quarantine the entry. Saving a loaded
+/// text catalog writes v3, which is how `catalog convert` migrates files.
+///
+/// SaveToFileV3 is crash-safe: the catalog is written to `path + ".tmp"`,
 /// fsynced, and renamed over `path`, so a failure at any step leaves the
 /// previous on-disk catalog intact (and no stale tmp file behind). All
 /// file operations carry `catalog.*` fault-injection points (util/fault.h).
@@ -112,9 +117,6 @@ class StatsCatalog {
   /// resolve handles against it, and use it for the whole batch.
   std::shared_ptr<const CatalogSnapshot> snapshot() const;
 
-  /// Serializes every entry to the v2 text format.
-  std::string SaveToString() const;
-
   /// Serializes every entry to the v3 binary format (catalog_v3.h).
   std::string SaveToStringV3() const;
 
@@ -131,12 +133,8 @@ class StatsCatalog {
   /// at all (bad version header).
   Result<CatalogLoadReport> RecoverFromString(const std::string& text);
 
-  /// Atomic, durable save in the v2 text format: tmp file + fsync +
-  /// rename (see class comment).
-  Status SaveToFile(const std::string& path) const;
-
-  /// Atomic, durable save in the v3 binary format — same tmp + fsync +
-  /// rename machinery and the same catalog.save.* fault points.
+  /// Atomic, durable save in the v3 binary format: tmp file + fsync +
+  /// rename, with the catalog.save.* fault points (see class comment).
   Status SaveToFileV3(const std::string& path) const;
 
   /// Strict load, any format; Corruption on the first bad entry.
@@ -146,7 +144,6 @@ class StatsCatalog {
   Result<CatalogLoadReport> RecoverFromFile(const std::string& path);
 
  private:
-  std::string SaveToStringLocked() const;
   Result<CatalogLoadReport> LoadImpl(const std::string& text, bool recover);
   Result<CatalogLoadReport> LoadV3Impl(const std::string& bytes,
                                        bool recover);

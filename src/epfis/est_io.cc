@@ -113,16 +113,17 @@ struct EstimateTally {
 };
 
 // The one evaluation core (paper §4.3 steps 4-7). Every public entry
-// point — legacy wrapper, validating single-probe, catalog-backed, and
-// batch — funnels through this function over an IndexStatsView, which is
-// what makes their results bit-identical by construction.
+// point — single-probe, catalog-backed, and batch — funnels through this
+// function over an IndexStatsView, which is what makes their results
+// bit-identical by construction. Precondition: `scan` passed
+// ScanSpecError, so sigma is in [0, 1] and S in (0, 1].
 double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
                          const EstIoOptions& options, EstimateTally& tally) {
   ++tally.estimates;
 
-  double sigma = Clamp(scan.sigma, 0.0, 1.0);
-  double s_sarg = Clamp(scan.sargable_selectivity, 0.0, 1.0);
-  if (sigma == 0.0 || s_sarg == 0.0) return 0.0;
+  double sigma = scan.sigma;
+  double s_sarg = scan.sargable_selectivity;
+  if (sigma == 0.0) return 0.0;
 
   double t = static_cast<double>(view.table_pages);
   double n = static_cast<double>(view.table_records);
@@ -189,11 +190,6 @@ double EstimateOne(const IndexStatsView& view, const ScanSpec& scan,
   double fetches = EstimatePagesCore(view, scan, options, tally);
   tally.Flush();
   return fetches;
-}
-
-double FullScanCore(const IndexStats& stats, uint64_t buffer_pages) {
-  EstIoMetrics::Get().full_scans.Increment();
-  return stats.FullScanFetches(static_cast<double>(buffer_pages));
 }
 
 // Degraded mode: no trusted FPF curve, so fall back to the classical
@@ -384,17 +380,8 @@ Result<double> EstIo::EstimateFullScan(const IndexStats& stats,
     EstIoMetrics::Get().rejected.Increment();
     return Status::InvalidArgument("Est-IO: buffer_pages must be >= 1");
   }
-  return FullScanCore(stats, buffer_pages);
-}
-
-double EstimateFullScanFetches(const IndexStats& stats,
-                               uint64_t buffer_pages) {
-  return FullScanCore(stats, buffer_pages);
-}
-
-double EstimatePageFetches(const IndexStats& stats, const ScanSpec& scan,
-                           const EstIoOptions& options) {
-  return EstimateOne(stats.View(), scan, options);
+  EstIoMetrics::Get().full_scans.Increment();
+  return stats.FullScanFetches(static_cast<double>(buffer_pages));
 }
 
 }  // namespace epfis

@@ -25,11 +25,9 @@ enum class PhiMode {
 
 /// Options for Subprogram Est-IO.
 ///
-/// The validating EstIo entry points reject NaN or non-positive
-/// `nu_threshold` / `correction_divisor` with InvalidArgument (a zero
-/// divisor would turn the damping factor into a silent NaN/inf estimate);
-/// the legacy double-returning wrappers do not validate, matching their
-/// clamp-don't-reject contract.
+/// The EstIo entry points reject NaN or non-positive `nu_threshold` /
+/// `correction_divisor` with InvalidArgument (a zero divisor would turn
+/// the damping factor into a silent NaN/inf estimate).
 struct EstIoOptions {
   PhiMode phi_mode = PhiMode::kPaperMax;
   /// nu = 1 iff phi >= nu_threshold * sigma (paper: 3). Must be > 0.
@@ -121,10 +119,21 @@ struct BatchProbe {
   TableShape shape;
 };
 
-/// Validating entry points for Subprogram Est-IO. These are the preferred
-/// API for optimizer integration: malformed scan specifications are
-/// rejected with InvalidArgument instead of being silently clamped into
-/// range the way the legacy double-returning functions below do.
+/// Subprogram Est-IO (§4.2): estimates the number of data-page fetches for
+/// an index scan given the catalog statistics produced by LRU-Fit.
+///
+/// Steps (paper §4.3, steps 4-7): evaluate the segment-approximated FPF
+/// curve at B to get PF_B; scale by sigma; add the small-sigma heuristic
+/// correction term
+///   nu * min(1, phi/(6 sigma)) * (1 - C) * Cardenas(T, sigma N);
+/// and finally, when sargable predicates are present (S < 1), reduce by the
+/// urn-model factor (1 - (1 - 1/Q)^k) with
+///   Q = C sigma T + (1 - C) min(T, sigma N),  k = S sigma N.
+///
+/// The estimate is clamped to the trivial bounds [0, S sigma N] (a scan
+/// cannot fetch more pages than it fetches records). Every entry point
+/// validates its inputs: malformed scan specifications are rejected with
+/// InvalidArgument, never clamped into range.
 struct EstIo {
   /// Validated page-fetch estimate. Fails with InvalidArgument when
   /// `scan.sigma` is outside [0, 1], `scan.sargable_selectivity` is
@@ -197,39 +206,6 @@ struct EstIo {
                               std::span<CatalogEstimate> results,
                               const EstIoOptions& options = {});
 };
-
-/// Subprogram Est-IO (§4.2): estimates the number of data-page fetches for
-/// an index scan given the catalog statistics produced by LRU-Fit.
-///
-/// Steps (paper §4.3, steps 4-7): evaluate the segment-approximated FPF
-/// curve at B to get PF_B; scale by sigma; add the small-sigma heuristic
-/// correction term
-///   nu * min(1, phi/(6 sigma)) * (1 - C) * Cardenas(T, sigma N);
-/// and finally, when sargable predicates are present (S < 1), reduce by the
-/// urn-model factor (1 - (1 - 1/Q)^k) with
-///   Q = C sigma T + (1 - C) min(T, sigma N),  k = S sigma N.
-///
-/// The returned estimate is clamped to the trivial bounds [0, S sigma N]
-/// (a scan cannot fetch more pages than it fetches records).
-///
-/// Legacy thin wrapper around the same computation as EstIo::Estimate:
-/// instead of validating, it clamps sigma and sargable_selectivity into
-/// range and treats buffer_pages == 0 as an empty buffer. Deprecated:
-/// new callers should use EstIo::Estimate (or EstIo::EstimateBatch for
-/// serving) so input bugs surface as errors; the pinned clamping
-/// behavior is regression-tested in tests/epfis/est_io_legacy_test.cc.
-[[deprecated(
-    "use EstIo::Estimate (validating) or EstIo::EstimateBatch")]]  //
-double
-EstimatePageFetches(const IndexStats& stats, const ScanSpec& scan,
-                    const EstIoOptions& options = {});
-
-/// PF_B alone: the full-scan page-fetch estimate at the given buffer size.
-/// Legacy thin wrapper; deprecated in favor of the validating
-/// EstIo::EstimateFullScan.
-[[deprecated("use EstIo::EstimateFullScan")]]  //
-double
-EstimateFullScanFetches(const IndexStats& stats, uint64_t buffer_pages);
 
 }  // namespace epfis
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "buffer/lru_simulator.h"
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "exec/index_scan.h"
 #include "util/random.h"
 
@@ -44,7 +44,7 @@ Result<ContentionResult> RunContentionExperiment(
         traces[s],
         CollectScanTrace(*dataset.index(),
                          KeyRange::Closed(scans[s].lo_key, scans[s].hi_key)));
-    StackDistanceSimulator sim(traces[s].size() + 1);
+    StackDistanceKernel sim(traces[s].size() + 1);
     sim.AccessAll(traces[s]);
     result.streams[s].references = traces[s].size();
     result.streams[s].solo_fetches = sim.Fetches(config.buffer_pages);

@@ -9,7 +9,7 @@
 #include "baselines/naive.h"
 #include "baselines/ot.h"
 #include "baselines/sd.h"
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "exec/index_scan.h"
 #include "exec/predicate.h"
 
@@ -105,7 +105,7 @@ Result<ExperimentResult> RunErrorExperiment(const Dataset& dataset,
         std::vector<PageId> trace,
         CollectScanTrace(*dataset.index(), range,
                          filter.has_value() ? &*filter : nullptr));
-    StackDistanceSimulator sim(trace.size() + 1);
+    StackDistanceKernel sim(trace.size() + 1);
     sim.AccessAll(trace);
     std::vector<double> actual(num_buffers);
     for (size_t j = 0; j < num_buffers; ++j) {

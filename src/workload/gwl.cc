@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "util/formulas.h"
 
 namespace epfis {
@@ -37,8 +37,8 @@ double MeasureClusteringFactor(const Placement& placement) {
   if (n <= t) return 1.0;
   uint64_t b_min = std::max<uint64_t>(
       static_cast<uint64_t>(std::ceil(0.01 * static_cast<double>(t))), 12);
-  StackDistanceSimulator sim(n);
-  for (uint32_t p : placement.page_of_record) sim.Access(p);
+  StackDistanceKernel sim(n);
+  sim.AccessAll(placement.page_of_record);
   uint64_t f_min = sim.Fetches(b_min);
   return Clamp((static_cast<double>(n) - static_cast<double>(f_min)) /
                    (static_cast<double>(n) - static_cast<double>(t)),

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "buffer/buffer_pool.h"
+#include "catalog/catalog_fixtures.h"
 #include "storage/disk_manager.h"
 
 namespace epfis {
@@ -120,7 +121,7 @@ TEST(StatsCatalogTest, SerializationRoundTrip) {
   catalog.Put(MakeStats("CMAC.BRAN"));
   catalog.Put(MakeStats("PLON.CLID"));
 
-  std::string text = catalog.SaveToString();
+  std::string text = V2CatalogText(catalog);
   StatsCatalog loaded;
   ASSERT_TRUE(loaded.LoadFromString(text).ok());
   ASSERT_EQ(loaded.size(), 2u);
@@ -175,7 +176,7 @@ TEST(StatsCatalogTest, FileRoundTrip) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("idx"));
   std::string path = testing::TempDir() + "/epfis_stats_test.cat";
-  ASSERT_TRUE(catalog.SaveToFile(path).ok());
+  ASSERT_TRUE(catalog.SaveToFileV3(path).ok());
 
   StatsCatalog loaded;
   ASSERT_TRUE(loaded.LoadFromFile(path).ok());
@@ -212,7 +213,7 @@ TEST(StatsCatalogTest, IndexNamesSorted) {
 TEST(StatsCatalogTest, EmptyCatalogRoundTrip) {
   StatsCatalog catalog;
   StatsCatalog loaded;
-  ASSERT_TRUE(loaded.LoadFromString(catalog.SaveToString()).ok());
+  ASSERT_TRUE(loaded.LoadFromString(V2CatalogText(catalog)).ok());
   EXPECT_EQ(loaded.size(), 0u);
 }
 

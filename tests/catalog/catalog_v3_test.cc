@@ -1,6 +1,6 @@
-// The binary mmap-able catalog format (v3): lossless round-trips against
-// the v2 text format, structural validation, per-entry corruption
-// quarantine, and the zero-copy snapshot open.
+// The binary mmap-able catalog format (v3): lossless round-trips and v2
+// text import, structural validation, per-entry corruption quarantine
+// shared by both readers, and the zero-copy snapshot open.
 
 #include "catalog/catalog_v3.h"
 
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 
+#include "catalog/catalog_fixtures.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/est_io.h"
 
@@ -99,7 +100,7 @@ TEST(CatalogV3Test, V2ToV3ConversionIsLossless) {
   original.Put(MakeStats("lines.key", 800, 0.0));
 
   StatsCatalog from_v2;
-  ASSERT_TRUE(from_v2.LoadFromString(original.SaveToString()).ok());
+  ASSERT_TRUE(from_v2.LoadFromString(V2CatalogText(original)).ok());
   StatsCatalog from_v3;
   ASSERT_TRUE(from_v3.LoadFromString(from_v2.SaveToStringV3()).ok());
 
@@ -314,6 +315,47 @@ TEST(CatalogV3Test, ZeroCopySnapshotQuarantinesCorruptEntry) {
   std::remove(path.c_str());
 }
 
+// A CRC-valid entry whose knots repeat an x cannot become a curve. Both
+// v3 readers share one per-entry verdict, so the materializing load and
+// the zero-copy snapshot must reject it alike: strict load fails,
+// recovery and the mapped snapshot quarantine it, and serving degrades to
+// the formula with Corruption provenance instead of a curve estimate.
+TEST(CatalogV3Test, NonIncreasingKnotsAreRejectedByBothReaders) {
+  std::string image =
+      NonIncreasingKnotsV3Image(MakeStats("ix", 1000, 0.3));
+
+  StatsCatalog strict;
+  EXPECT_EQ(strict.LoadFromString(image).code(), StatusCode::kCorruption);
+
+  StatsCatalog recovered;
+  auto report = recovered.RecoverFromString(image);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->entries_loaded, 0u);
+  EXPECT_EQ(report->entries_quarantined, 1u);
+  EXPECT_EQ(report->checksum_failures, 0u);
+  EXPECT_TRUE(recovered.IsQuarantined("ix"));
+
+  std::string path = testing::TempDir() + "/epfis_v3_bad_knots.cat";
+  {
+    FILE* f = fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    fwrite(image.data(), 1, image.size(), f);
+    fclose(f);
+  }
+  auto snapshot_or = OpenCatalogSnapshotV3(path);
+  ASSERT_TRUE(snapshot_or.ok()) << snapshot_or.status().ToString();
+  std::shared_ptr<const CatalogSnapshot> snapshot = *snapshot_or;
+  EXPECT_TRUE(snapshot->IsQuarantined("ix"));
+  EXPECT_EQ(snapshot->Get("ix").status().code(), StatusCode::kCorruption);
+
+  BatchProbe probe{snapshot->Resolve("ix"), {0.1, 1.0, 12}, {1000, 40000}};
+  CatalogEstimate result;
+  ASSERT_TRUE(EstIo::EstimateBatch(*snapshot, {&probe, 1}, {&result, 1}).ok());
+  EXPECT_EQ(result.source, EstimateSource::kFormulaFallback);
+  EXPECT_EQ(result.stats_status.code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
 TEST(CatalogV3Test, OpenSnapshotMissingFileIsIoError) {
   auto snapshot = OpenCatalogSnapshotV3("/nonexistent/epfis_v3.cat");
   ASSERT_FALSE(snapshot.ok());
@@ -324,7 +366,7 @@ TEST(CatalogV3Test, SniffMagicMatchesOnlyV3Images) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("s.key", 400, 0.5));
   std::string v3 = catalog.SaveToStringV3();
-  std::string v2 = catalog.SaveToString();
+  std::string v2 = V2CatalogText(catalog);
   EXPECT_TRUE(CatalogV3::SniffMagic(v3.data(), v3.size()));
   EXPECT_FALSE(CatalogV3::SniffMagic(v2.data(), v2.size()));
   EXPECT_FALSE(CatalogV3::SniffMagic(v3.data(), 4));  // Too short.

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "catalog/catalog_fixtures.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/est_io.h"
 #include "util/fault.h"
@@ -88,7 +89,7 @@ TEST(StatsCatalogSnapshotTest, PublishCarriesQuarantineMarks) {
   StatsCatalog source;
   source.Put(MakeStats(0, 1));
   source.Put(MakeStats(1, 1));
-  std::string text = source.SaveToString();
+  std::string text = V2CatalogText(source);
   size_t field = text.find("table_pages=", text.find("idx1"));
   ASSERT_NE(field, std::string::npos);
   text[field + 12] = 'x';

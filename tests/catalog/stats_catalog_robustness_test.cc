@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/catalog_fixtures.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/fpf_curve.h"
 #include "util/fault.h"
@@ -68,7 +69,7 @@ TEST_F(StatsCatalogRobustnessTest, V2RoundTripCarriesHeaderAndChecksums) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
   catalog.Put(MakeStats("ix_b", 200));
-  std::string text = catalog.SaveToString();
+  std::string text = V2CatalogText(catalog);
   EXPECT_EQ(text.rfind("[epfis-stats-catalog-v2]", 0), 0u);
   EXPECT_NE(text.find("[end crc="), std::string::npos);
   EXPECT_EQ(text.find("[end]\n"), std::string::npos);
@@ -83,7 +84,7 @@ TEST_F(StatsCatalogRobustnessTest, V2RoundTripCarriesHeaderAndChecksums) {
 TEST_F(StatsCatalogRobustnessTest, ChecksumMismatchFailsStrictLoad) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
-  std::string text = catalog.SaveToString();
+  std::string text = V2CatalogText(catalog);
   // Silent bit rot in a field value, frame intact.
   size_t at = text.find("table_pages=100");
   ASSERT_NE(at, std::string::npos);
@@ -99,7 +100,7 @@ TEST_F(StatsCatalogRobustnessTest, RecoverQuarantinesCorruptEntryOnly) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_bad", 100));
   catalog.Put(MakeStats("ix_good", 200));
-  std::string text = catalog.SaveToString();
+  std::string text = V2CatalogText(catalog);
   size_t at = text.find("table_pages=100");
   ASSERT_NE(at, std::string::npos);
   text.replace(at, 15, "table_pages=999");
@@ -129,7 +130,7 @@ TEST_F(StatsCatalogRobustnessTest, RecoverHandlesTornTail) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
   catalog.Put(MakeStats("ix_b", 200));
-  std::string text = catalog.SaveToString();
+  std::string text = V2CatalogText(catalog);
   // A torn write: the file ends mid-entry.
   size_t cut = text.rfind("[end crc=");
   ASSERT_NE(cut, std::string::npos);
@@ -171,6 +172,49 @@ TEST_F(StatsCatalogRobustnessTest, V1FilesStillLoad) {
   EXPECT_EQ(report->entries_quarantined, 0u);
 }
 
+// A text value must be wholly a valid number: trailing junk, a sign on
+// an unsigned field or no digits at all is a field error, not a silent 0
+// or a wrapped negative. Strict loads fail; recovery quarantines the
+// entry and keeps its good neighbour.
+TEST_F(StatsCatalogRobustnessTest, MalformedTextNumbersAreFieldErrors) {
+  auto v1_entry = [](const std::string& name, const std::string& field) {
+    std::string entry =
+        "[index]\n"
+        "name=" + name + "\n"
+        "table_pages=12\n"
+        "table_records=500\n"
+        "clustering=0.5\n"
+        "knots=12:150,50:50\n"
+        "[end]\n";
+    if (!field.empty()) {
+      std::string key = field.substr(0, field.find('=') + 1);
+      size_t at = entry.find(key);
+      entry.replace(at, entry.find('\n', at) - at, field);
+    }
+    return entry;
+  };
+  for (const char* field :
+       {"table_pages=12x", "table_records=-5", "clustering=abc",
+        "table_pages=", "table_records=99999999999999999999999",
+        "knots=12:150,50x:50"}) {
+    SCOPED_TRACE(field);
+    std::string text = v1_entry("ix_good", "") + v1_entry("ix_bad", field);
+
+    StatsCatalog strict;
+    EXPECT_EQ(strict.LoadFromString(text).code(), StatusCode::kCorruption);
+    EXPECT_EQ(strict.size(), 0u);
+
+    StatsCatalog recovering;
+    auto report = recovering.RecoverFromString(text);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->entries_loaded, 1u);
+    EXPECT_EQ(report->entries_quarantined, 1u);
+    EXPECT_EQ(report->checksum_failures, 0u);
+    EXPECT_TRUE(recovering.Get("ix_good").ok());
+    EXPECT_TRUE(recovering.IsQuarantined("ix_bad"));
+  }
+}
+
 TEST_F(StatsCatalogRobustnessTest, UnknownFutureVersionIsRejected) {
   std::string text = "[epfis-stats-catalog-v9]\n[index]\nname=x\n[end]\n";
   StatsCatalog catalog;
@@ -182,7 +226,7 @@ TEST_F(StatsCatalogRobustnessTest, UnknownFutureVersionIsRejected) {
 TEST_F(StatsCatalogRobustnessTest, V2EntryWithoutChecksumIsTorn) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
-  std::string text = catalog.SaveToString();
+  std::string text = V2CatalogText(catalog);
   size_t at = text.find("[end crc=");
   ASSERT_NE(at, std::string::npos);
   text.replace(at, text.find(']', at) - at + 1, "[end]");
@@ -194,7 +238,7 @@ TEST_F(StatsCatalogRobustnessTest, FileRoundTripIsAtomicAndDurable) {
   std::string path = dir_ + "/stats.cat";
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
-  ASSERT_TRUE(catalog.SaveToFile(path).ok());
+  ASSERT_TRUE(catalog.SaveToFileV3(path).ok());
   EXPECT_FALSE(HasTmpLeak());
 
   StatsCatalog loaded;
@@ -209,7 +253,7 @@ TEST_F(StatsCatalogRobustnessTest, InjectedWriteFailurePreservesOldCatalog) {
   std::string path = dir_ + "/stats.cat";
   StatsCatalog old_catalog;
   old_catalog.Put(MakeStats("ix_old", 100));
-  ASSERT_TRUE(old_catalog.SaveToFile(path).ok());
+  ASSERT_TRUE(old_catalog.SaveToFileV3(path).ok());
   std::string old_bytes = Slurp(path);
 
   StatsCatalog new_catalog;
@@ -223,7 +267,7 @@ TEST_F(StatsCatalogRobustnessTest, InjectedWriteFailurePreservesOldCatalog) {
     spec.skip_calls = 0;
     spec.max_fires = 1;
     FaultInjector::Global().Arm(point, spec);
-    Status status = new_catalog.SaveToFile(path);
+    Status status = new_catalog.SaveToFileV3(path);
     EXPECT_EQ(status.code(), StatusCode::kIoError);
     FaultInjector::Global().Disarm(point);
 
@@ -236,7 +280,7 @@ TEST_F(StatsCatalogRobustnessTest, InjectedWriteFailurePreservesOldCatalog) {
   }
 
   // Recovery on the next clean call: the save goes through untouched.
-  ASSERT_TRUE(new_catalog.SaveToFile(path).ok());
+  ASSERT_TRUE(new_catalog.SaveToFileV3(path).ok());
   StatsCatalog check;
   ASSERT_TRUE(check.LoadFromFile(path).ok());
   EXPECT_TRUE(check.Get("ix_new").ok());
@@ -246,7 +290,7 @@ TEST_F(StatsCatalogRobustnessTest, LoadFaultPointsSurfaceAsErrors) {
   std::string path = dir_ + "/stats.cat";
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
-  ASSERT_TRUE(catalog.SaveToFile(path).ok());
+  ASSERT_TRUE(catalog.SaveToFileV3(path).ok());
 
   for (const char* point : {"catalog.load.open", "catalog.load.read"}) {
     SCOPED_TRACE(point);
@@ -264,7 +308,7 @@ TEST_F(StatsCatalogRobustnessTest, LoadFaultPointsSurfaceAsErrors) {
 TEST_F(StatsCatalogRobustnessTest, RemoveClearsQuarantine) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
-  std::string text = catalog.SaveToString();
+  std::string text = V2CatalogText(catalog);
   size_t at = text.find("table_pages=100");
   ASSERT_NE(at, std::string::npos);
   text.replace(at, 15, "table_pages=999");

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/catalog_fixtures.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/est_io.h"
 #include "epfis/lru_fit.h"
@@ -73,7 +74,7 @@ TEST_F(EstIoDegradedTest, MissingStatsFallBackToYao) {
 
 TEST_F(EstIoDegradedTest, QuarantinedStatsFallBackWithCorruption) {
   // Quarantine the entry by recovering a tampered serialization.
-  std::string text = catalog_.SaveToString();
+  std::string text = V2CatalogText(catalog_);
   size_t at = text.find("table_pages=");
   ASSERT_NE(at, std::string::npos);
   text[at + 12] ^= 0x01;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "buffer/decayed_window.h"
+#include "catalog/catalog_fixtures.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/est_io.h"
 #include "epfis/lru_fit.h"
@@ -427,9 +428,9 @@ TEST(OnlineLruFitTest, OnlineProvenanceRoundTripsThroughAllFormats) {
   ASSERT_EQ(original->online_generation, 1u);
   ASSERT_EQ(original->window_refs, 6000u);
 
-  // v2 text round-trip.
+  // v2 text import.
   StatsCatalog from_v2;
-  ASSERT_TRUE(from_v2.LoadFromString(catalog.SaveToString()).ok());
+  ASSERT_TRUE(from_v2.LoadFromString(V2CatalogText(catalog)).ok());
   auto v2 = from_v2.Get("ix_prov");
   ASSERT_TRUE(v2.ok());
   EXPECT_EQ(v2->online_generation, original->online_generation);

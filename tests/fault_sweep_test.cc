@@ -70,7 +70,7 @@ class FaultSweepTest : public testing::Test {
     ASSERT_TRUE(stats.ok());
     fixture.Put(std::move(*stats));
     catalog_path_ = dir_ + "/fixture_stats.cat";
-    ASSERT_TRUE(fixture.SaveToFile(catalog_path_).ok());
+    ASSERT_TRUE(fixture.SaveToFileV3(catalog_path_).ok());
   }
   void TearDown() override {
     FaultInjector::Global().DisarmAll();
@@ -95,19 +95,11 @@ class FaultSweepTest : public testing::Test {
     record(stats.ok() ? Status::Ok() : stats.status());
     if (stats.ok()) catalog.Put(std::move(*stats));
     std::string save_path = dir_ + "/sweep_" + tag + ".cat";
-    record(catalog.SaveToFile(save_path));
+    record(catalog.SaveToFileV3(save_path));
 
     // Catalog load path (open/read).
     StatsCatalog loaded;
     record(loaded.LoadFromFile(catalog_path_));
-
-    // Catalog v3 binary save + autodetecting load round-trip (same
-    // open/write/fsync/rename and open/read points as the text format,
-    // through the binary encoder instead).
-    std::string v3_path = dir_ + "/sweep_" + tag + ".cat3";
-    record(catalog.SaveToFileV3(v3_path));
-    StatsCatalog v3_loaded;
-    record(v3_loaded.LoadFromFile(v3_path));
 
     // Trace save path (open/write).
     record(SavePageTrace(trace_, dir_ + "/sweep_" + tag + ".bin"));
@@ -315,7 +307,7 @@ TEST_F(FaultSweepTest, ProbabilisticScheduleIsReproducible) {
     catalog.Put(std::move(*stats));
     for (int i = 0; i < 10; ++i) {
       outcomes.push_back(
-          catalog.SaveToFile(dir_ + "/prob.cat").ok());
+          catalog.SaveToFileV3(dir_ + "/prob.cat").ok());
     }
     FaultInjector::Global().DisarmAll();
     return outcomes;

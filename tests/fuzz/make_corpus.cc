@@ -1,8 +1,10 @@
 // Seed-corpus generator: writes well-formed inputs for each fuzz target
 // into a directory (argv[1], default "fuzz_corpus") using the real
-// encoders, plus truncated variants of each. Valid seeds let a fuzzer
-// reach the deep per-entry parsing immediately instead of spending its
-// budget rediscovering the magic and framing.
+// encoders (and the test fixture for v2 text, which the library only
+// reads), plus truncated variants of each and a CRC-valid v3 entry whose
+// knots repeat an x. Valid seeds let a fuzzer reach the deep per-entry
+// parsing immediately instead of spending its budget rediscovering the
+// magic and framing.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/catalog_fixtures.h"
 #include "catalog/catalog_v3.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/index_stats.h"
@@ -62,8 +65,11 @@ int main(int argc, char** argv) {
     IndexStats copy = stats;
     catalog.Put(std::move(copy));
   }
-  const std::string v2 = catalog.SaveToString();
+  const std::string v2 = V2CatalogText(catalog);
   const std::string v3 = CatalogV3::Encode(entries);
+  // CRC-valid entry with a repeated knot x: reaches the curve-shape check.
+  const std::string v3_bad_knots =
+      NonIncreasingKnotsV3Image(entries.at("seed_a.key"));
 
   std::vector<PageId> trace;
   for (uint64_t i = 0; i < 500; ++i) {
@@ -81,6 +87,7 @@ int main(int argc, char** argv) {
 
   bool ok = WriteBytes(dir + "/catalog_v2_valid.seed", v2) &&
             WriteBytes(dir + "/catalog_v3_valid.seed", v3) &&
+            WriteBytes(dir + "/catalog_v3_bad_knots.seed", v3_bad_knots) &&
             WriteBytes(dir + "/catalog_v2_truncated.seed",
                        v2.substr(0, v2.size() / 2)) &&
             WriteBytes(dir + "/catalog_v3_truncated.seed",
@@ -91,6 +98,6 @@ int main(int argc, char** argv) {
     std::cerr << "failed writing seeds under " << dir << '\n';
     return 1;
   }
-  std::cout << "wrote 6 seeds to " << dir << '\n';
+  std::cout << "wrote 7 seeds to " << dir << '\n';
   return 0;
 }

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "baselines/ml.h"
+#include "catalog/catalog_fixtures.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/lru_fit.h"
 #include "exec/multi_index.h"
@@ -97,7 +98,7 @@ TEST(StatsCatalogEdgeTest, EntryWithoutCurveRoundTrips) {
   stats.table_records = 100;
   catalog.Put(stats);
   StatsCatalog loaded;
-  ASSERT_TRUE(loaded.LoadFromString(catalog.SaveToString()).ok());
+  ASSERT_TRUE(loaded.LoadFromString(V2CatalogText(catalog)).ok());
   auto got = loaded.Get("curveless");
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->fpf.has_value());

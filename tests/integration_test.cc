@@ -80,7 +80,7 @@ TEST_F(IntegrationTest, CatalogPersistenceProducesIdenticalEstimates) {
   StatsCatalog catalog;
   catalog.Put(*stats);
   std::string path = testing::TempDir() + "/epfis_integration.cat";
-  ASSERT_TRUE(catalog.SaveToFile(path).ok());
+  ASSERT_TRUE(catalog.SaveToFileV3(path).ok());
 
   StatsCatalog restored;
   ASSERT_TRUE(restored.LoadFromFile(path).ok());
