@@ -1,5 +1,5 @@
-// Old-vs-new Mattson kernel throughput, the sharded scaling curve, and the
-// mmap / io_uring trace-ingestion paths.
+// Old-vs-new Mattson kernel throughput and the mmap / io_uring
+// trace-ingestion paths.
 //
 // Generates a Zipf(theta) page trace (the reuse pattern of a secondary
 // index over a hot/cold table), runs the legacy StackDistanceSimulator
@@ -14,9 +14,6 @@
 //   --refs=N      references in the trace        (default 10000000)
 //   --pages=N     distinct data pages            (default refs/50)
 //   --theta=F     Zipf skew                      (default 0.86)
-//   --threads=N   sharded-scaling sweep ceiling: runs 1,2,4,8,... up to N
-//                 with the default shard geometry (0 = skip the sweep)
-//                                                (default 0)
 //   --reps=N      timed repetitions per variant  (default 5)
 //   --gate-mrefs=F fail (exit 1) if the median single-thread kernel run
 //                 falls under F Mrefs/s (0 = no gate)  (default 0)
@@ -36,7 +33,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "buffer/parallel_stack_distance.h"
 #include "buffer/stack_distance.h"
 #include "buffer/stack_distance_kernel.h"
 #include "epfis/trace_io.h"
@@ -46,7 +42,6 @@
 #include "util/arg_parser.h"
 #include "util/random.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
 #include "util/zipf.h"
 
 using namespace epfis;
@@ -105,7 +100,6 @@ int main(int argc, char** argv) {
   const uint64_t pages = static_cast<uint64_t>(
       args.GetInt("pages", static_cast<int64_t>(refs / 50)));
   const double theta = args.GetDouble("theta", 0.86);
-  const size_t max_threads = static_cast<size_t>(args.GetInt("threads", 0));
   const int reps = static_cast<int>(args.GetInt("reps", 5));
   const double gate_mrefs = args.GetDouble("gate-mrefs", 0.0);
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
@@ -170,40 +164,6 @@ int main(int argc, char** argv) {
   };
   add_row("legacy simulator", legacy_t);
   add_row("cache-conscious kernel", kernel_t);
-
-  // Sharded scaling sweep: 1, 2, 4, 8, ... threads up to --threads, each
-  // with the default geometry (num_shards = 0) and the streaming merge.
-  struct ScalingPoint {
-    size_t threads = 0;
-    Timing timing;
-    bool bit_identical = true;
-  };
-  std::vector<ScalingPoint> scaling;
-  for (size_t t = 1; t <= max_threads; t *= 2) {
-    ThreadPool pool(t);
-    VectorTraceSource source = VectorTraceSource::View(trace);
-    ScalingPoint point;
-    point.threads = t;
-    std::vector<double> runs;
-    for (int r = 0; r < reps; ++r) {
-      if (Status st = source.Reset(); !st.ok()) {
-        std::cerr << st.ToString() << '\n';
-        return 1;
-      }
-      auto t0 = std::chrono::steady_clock::now();
-      auto parallel = ComputeStackDistances(source, &pool);
-      runs.push_back(SecondsSince(t0));
-      if (!parallel.ok()) {
-        std::cerr << parallel.status().ToString() << '\n';
-        return 1;
-      }
-      point.bit_identical = point.bit_identical && *parallel == reference;
-    }
-    point.timing = Summarize(runs);
-    identical = identical && point.bit_identical;
-    add_row("sharded, " + std::to_string(t) + " thread(s)", point.timing);
-    scaling.push_back(point);
-  }
 
   // Ingestion: the trace streamed back through the autodetected source
   // (mmap on any reasonable host) and through the forced io_uring path.
@@ -279,21 +239,6 @@ int main(int argc, char** argv) {
        << "  \"legacy_mrefs_per_s\": " << mrefs(legacy_t.median) << ",\n"
        << "  \"kernel_mrefs_per_s\": " << kernel_mrefs << ",\n"
        << "  \"single_thread_speedup\": " << speedup << ",\n";
-  if (!scaling.empty()) {
-    json << "  \"scaling\": [\n";
-    double base = scaling.front().timing.median;
-    for (size_t i = 0; i < scaling.size(); ++i) {
-      const ScalingPoint& v = scaling[i];
-      json << "    {\"threads\": " << v.threads << ", "
-           << TimingJson("seconds", v.timing)
-           << ", \"mrefs_per_s\": " << mrefs(v.timing.median)
-           << ", \"speedup_vs_1t\": " << base / v.timing.median
-           << ", \"bit_identical\": "
-           << (v.bit_identical ? "true" : "false") << "}"
-           << (i + 1 < scaling.size() ? "," : "") << '\n';
-    }
-    json << "  ],\n";
-  }
   if (mmap_s > 0) {
     json << "  \"mmap_stream_seconds\": " << mmap_s << ",\n";
   }

@@ -12,8 +12,9 @@ namespace epfis {
 
 /// The distilled outcome of a Mattson stack simulation: total references,
 /// cold (first-touch) misses, and the histogram of finite stack distances.
-/// Produced by StackDistanceSimulator (serial) and ComputeStackDistances
-/// (sharded parallel); the two are bit-identical on the same trace.
+/// Produced by StackDistanceSimulator (the reference) and
+/// StackDistanceKernel (the production pass behind ComputeStackDistances);
+/// the two are bit-identical on the same trace.
 ///
 /// A buffer of B slots misses exactly on references with distance > B, so
 ///   fetches(B) = cold_misses + sum_{d > B} hist[d].
@@ -39,20 +40,13 @@ class StackDistanceHistogram {
     suffix_valid_ = false;
   }
 
-  /// Adds `count` references at distance `d` at once (shard merging).
+  /// Adds `count` references at distance `d` at once (histogram
+  /// rescaling).
   void AddDistances(uint64_t d, uint64_t count) {
     accesses_ += count;
     if (d >= hist_.size()) hist_.resize(d + 1, 0);
     hist_[d] += count;
     suffix_valid_ = false;
-  }
-
-  /// Pre-sizes the bucket array so AddDistance/AddDistances up to
-  /// distance `max_d` never reallocate mid-merge. Purely an allocation
-  /// hint: no counts change, and trailing zero buckets never affect
-  /// equality (TrimmedHist) or any fetch count.
-  void ReserveDistances(uint64_t max_d) {
-    if (max_d >= hist_.size()) hist_.resize(max_d + 1, 0);
   }
 
   /// Number of page fetches a `buffer_size`-slot LRU buffer would have

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#include "obs/metrics.h"
 
 namespace epfis {
 namespace {
@@ -27,6 +30,10 @@ constexpr size_t kPrefetchAhead = 8;
 // reference just wrote, so they are L1-resident, and 16 words cover
 // 1024 timestamps — the hot-page majority of a skewed trace.
 constexpr uint64_t kScanWords = 16;
+
+// Chunk size (in references) of the streaming read buffer that feeds the
+// kernel in ComputeSampledStackDistances.
+constexpr size_t kTraceChunkRefs = size_t{1} << 16;
 
 size_t InitialWindow(size_t expected_refs, size_t window_hint) {
   if (window_hint > 0) return std::max<size_t>(window_hint, 2);
@@ -57,6 +64,46 @@ size_t InitialTableEntries(size_t expected_refs,
     entries = std::min<size_t>(entries, sampling.max_pages + 1);
   }
   return entries;
+}
+
+// Folds a finished kernel's run counters into the global registry. The
+// kernel itself keeps plain members in its hot loop; publishing once per
+// run keeps the instrumentation off the per-reference path.
+void PublishKernelMetrics(const StackDistanceKernel& kernel) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  static Counter refs = registry.GetCounter("kernel.refs");
+  static Counter compactions = registry.GetCounter("kernel.compactions");
+  static Counter resizes = registry.GetCounter("kernel.window_resizes");
+  static Counter lookups = registry.GetCounter("kernel.hash_lookups");
+  static Counter probes = registry.GetCounter("kernel.hash_probes");
+  static Counter grows = registry.GetCounter("kernel.hash_grows");
+  refs.Increment(kernel.accesses());
+  compactions.Increment(kernel.compactions());
+  resizes.Increment(kernel.window_resizes());
+  auto hash = kernel.hash_stats();
+  lookups.Increment(hash.lookups);
+  probes.Increment(hash.probes);
+  grows.Increment(hash.grows);
+}
+
+// Publishes what a sampled pass did: volumes on both sides of the filter,
+// adaptive-threshold activity, and the rescale factor 1/R (a gauge, since
+// it is a property of the last run, not an accumulating event count).
+void PublishSamplingMetrics(const SamplingSummary& summary) {
+  if (!summary.active()) return;
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  static Counter total = registry.GetCounter("sampling.total_refs");
+  static Counter sampled = registry.GetCounter("sampling.sampled_refs");
+  static Counter drops = registry.GetCounter("sampling.threshold_drops");
+  static Counter evicted = registry.GetCounter("sampling.evicted_pages");
+  static Gauge rescale =
+      registry.GetGauge("sampling.rescale_factor_x1000");
+  total.Increment(summary.total_refs);
+  sampled.Increment(summary.sampled_refs);
+  drops.Increment(summary.threshold_drops);
+  evicted.Increment(summary.evicted_pages);
+  rescale.Set(static_cast<int64_t>(
+      std::llround(1000.0 / summary.effective_rate)));
 }
 
 }  // namespace
@@ -254,6 +301,49 @@ void StackDistanceKernel::Compact() {
   live_.AssignPrefixOnes(distinct, window_);
   now_ = distinct;
   ++compactions_;
+}
+
+Result<StackDistanceHistogram> ComputeStackDistances(
+    TraceSource& trace, const StackDistanceOptions& options) {
+  if (options.sampling.enabled()) {
+    return Status::InvalidArgument(
+        "stack distance: sampling requested on the exact entry point; "
+        "call ComputeSampledStackDistances");
+  }
+  EPFIS_ASSIGN_OR_RETURN(SampledStackDistances result,
+                         ComputeSampledStackDistances(trace, options));
+  return std::move(result.histogram);
+}
+
+Result<SampledStackDistances> ComputeSampledStackDistances(
+    TraceSource& trace, const StackDistanceOptions& options) {
+  EPFIS_RETURN_IF_ERROR(options.sampling.Validate());
+  const SamplingOptions& sampling = options.sampling;
+  size_t expected = static_cast<size_t>(trace.size_hint().value_or(1024));
+  StackDistanceKernel kernel(expected == 0 ? 1 : expected,
+                             /*window_hint=*/0, sampling);
+  std::vector<PageId> buffer(kTraceChunkRefs);
+  for (;;) {
+    EPFIS_RETURN_IF_ERROR(
+        CheckCancel(options.cancel, options.deadline, "stack distance"));
+    EPFIS_ASSIGN_OR_RETURN(size_t n, trace.Next(buffer.data(), buffer.size()));
+    if (n == 0) break;
+    kernel.AccessAll(buffer.data(), n);
+  }
+  SamplingSummary summary = kernel.sampling_summary();
+  if (summary.total_refs == 0) {
+    return Status::InvalidArgument("stack distance: empty trace");
+  }
+  if (summary.sampled_refs == 0) {
+    return Status::FailedPrecondition(
+        "stack distance: sampling rate too low, no references sampled");
+  }
+  static Counter serial_runs =
+      MetricsRegistry::Global().GetCounter("sd.serial_runs");
+  serial_runs.Increment();
+  PublishKernelMetrics(kernel);
+  PublishSamplingMetrics(summary);
+  return kernel.sampled_result();
 }
 
 }  // namespace epfis

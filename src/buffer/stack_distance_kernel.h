@@ -9,8 +9,11 @@
 
 #include "buffer/sampling.h"
 #include "buffer/stack_distance.h"
+#include "epfis/trace_source.h"
 #include "storage/page.h"
+#include "util/cancel.h"
 #include "util/flat_hash.h"
+#include "util/result.h"
 
 namespace epfis {
 
@@ -335,6 +338,48 @@ class StackDistanceKernel {
   // sampled set; adaptive mode pops it to find eviction thresholds.
   std::vector<std::pair<uint64_t, PageId>> sample_heap_;
 };
+
+/// Options for the streaming stack-distance entry points below.
+struct StackDistanceOptions {
+  /// SHARDS spatial sampling (ComputeSampledStackDistances only; the
+  /// exact entry point rejects it). See DESIGN.md §10.
+  SamplingOptions sampling;
+
+  /// Cooperative cancellation: polled once per streamed chunk of 64K
+  /// references and surfaced as Status::Cancelled. The default null token
+  /// costs one branch per poll.
+  CancellationToken cancel;
+
+  /// Wall-clock budget for the whole computation; checked at the same
+  /// poll points as `cancel` and surfaces as Status::DeadlineExceeded.
+  /// Defaults to infinite.
+  Deadline deadline;
+};
+
+/// Computes the LRU stack-distance histogram of `trace` in one pass of
+/// StackDistanceKernel, bit-identical to StackDistanceSimulator on every
+/// trace. The trace is consumed in 64K-reference chunks and never
+/// materialized whole; the kernel is pre-sized from `trace.size_hint()`.
+/// Parallelism lives one level up: RunLruFitBatch runs one such pass per
+/// index across a pool.
+///
+/// Fails with InvalidArgument on an empty trace, or if `options.sampling`
+/// requests sampling (use ComputeSampledStackDistances — an exact entry
+/// point silently downgraded to an estimate would be a trap).
+Result<StackDistanceHistogram> ComputeStackDistances(
+    TraceSource& trace, const StackDistanceOptions& options = {});
+
+/// Sampling-aware variant: applies `options.sampling` and returns the
+/// histogram together with its sampling provenance, wrapped in the
+/// rescaling accessors of SampledStackDistances. With sampling disabled
+/// this is ComputeStackDistances plus an exact summary.
+///
+/// Fails with InvalidArgument on invalid sampling options, on an empty
+/// trace, and with FailedPrecondition when the trace is non-empty but no
+/// reference survived the filter (the rate is too low for the trace; an
+/// all-zero curve would be an estimate of nothing).
+Result<SampledStackDistances> ComputeSampledStackDistances(
+    TraceSource& trace, const StackDistanceOptions& options = {});
 
 }  // namespace epfis
 

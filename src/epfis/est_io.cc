@@ -218,6 +218,21 @@ CatalogEstimate DegradedEstimate(const ScanSpec& scan,
   return out;
 }
 
+// Why an entry that passed the catalog's integrity checks still cannot be
+// served from its curve, or nullptr when it can. The catalog stores and
+// round-trips an entry with no table shape or no FPF curve (a name-only
+// text import, for one); PF_B over it would be a confident 0, so it takes
+// the formula fallback instead.
+const char* UnservableReason(const IndexStatsView& view) {
+  if (view.table_pages == 0) {
+    return "Est-IO: statistics have no table shape (table_pages = 0)";
+  }
+  if (view.knot_count < 2) {
+    return "Est-IO: statistics have no FPF curve (fewer than 2 knots)";
+  }
+  return nullptr;
+}
+
 // A probe that was not estimated: fetches 0 with `why` as provenance.
 CatalogEstimate RejectedEstimate(Status why) {
   CatalogEstimate out;
@@ -252,6 +267,10 @@ void EstimateResolvedProbe(const CatalogSnapshot& snapshot,
                            std::string(entry.quarantine_reason)));
     return;
   }
+  if (const char* reason = UnservableReason(entry.view)) {
+    out = DegradedEstimate(scan, shape, Status::FailedPrecondition(reason));
+    return;
+  }
   out.fetches = EstimatePagesCore(entry.view, scan, options, tally);
   out.source = EstimateSource::kLruFitCurve;
   if (!out.stats_status.ok()) out.stats_status = Status::Ok();
@@ -280,8 +299,12 @@ Result<CatalogEstimate> EstIo::EstimateFromCatalog(
                                  ? catalog.Get(index_name)
                                  : Result<IndexStats>(lookup_fault);
   if (stats.ok()) {
+    IndexStatsView view = stats->View();
+    if (const char* reason = UnservableReason(view)) {
+      return DegradedEstimate(scan, shape, Status::FailedPrecondition(reason));
+    }
     CatalogEstimate out;
-    out.fetches = EstimateOne(stats->View(), scan, options);
+    out.fetches = EstimateOne(view, scan, options);
     out.source = EstimateSource::kLruFitCurve;
     return out;
   }

@@ -73,7 +73,8 @@ struct ScanSpec {
 enum class EstimateSource {
   /// The full LRU-Fit FPF model from the catalog entry.
   kLruFitCurve,
-  /// Degraded mode: the index's statistics were missing or quarantined,
+  /// Degraded mode: the index's statistics were missing, quarantined, or
+  /// carried no usable curve (no table shape, or fewer than 2 FPF knots),
   /// so the estimate comes from the classical Yao/Cardenas formulas over
   /// the coarse table shape. Coarser (no buffer-size dependence, no
   /// clustering), but never blocks compilation on a corrupt catalog.
@@ -100,8 +101,9 @@ struct TableShape {
 struct CatalogEstimate {
   double fetches = 0.0;
   EstimateSource source = EstimateSource::kLruFitCurve;
-  /// Why the fallback fired (NotFound / Corruption) or the probe was
-  /// rejected (InvalidArgument); Ok when the full model was used.
+  /// Why the fallback fired (NotFound / Corruption / FailedPrecondition)
+  /// or the probe was rejected (InvalidArgument); Ok when the full model
+  /// was used.
   Status stats_status = Status::Ok();
 };
 
@@ -152,8 +154,9 @@ struct EstIo {
   /// Catalog-backed estimate with graceful degradation. Looks up
   /// `index_name` in the catalog and runs the full Estimate when trusted
   /// statistics exist. When the entry is missing (NotFound) or was
-  /// quarantined by a recovering load (Corruption), falls back to the
-  /// Yao/Cardenas formula over `shape` instead of failing the
+  /// quarantined by a recovering load (Corruption), or has no table shape
+  /// or fewer than 2 FPF knots (FailedPrecondition naming which), falls
+  /// back to the Yao/Cardenas formula over `shape` instead of failing the
   /// compilation, marks the result kFormulaFallback, and bumps the
   /// `est_io.degraded` counter. Scan-spec validation errors and
   /// unexpected catalog errors still fail.
@@ -168,8 +171,8 @@ struct EstIo {
 
   /// Lock-free form of the same contract, reading an immutable published
   /// snapshot (StatsCatalog::snapshot() or OpenCatalogSnapshotV3). No
-  /// mutex, no allocation on the curve path; missing and quarantined
-  /// entries degrade exactly as above. Single-probe and batched
+  /// mutex, no allocation on the curve path; missing, quarantined and
+  /// curveless entries degrade exactly as above. Single-probe and batched
   /// estimation share this lookup/fallback/provenance path, so for any
   /// probe the two produce bit-identical results.
   static Result<CatalogEstimate> EstimateFromCatalog(
@@ -184,6 +187,7 @@ struct EstIo {
   ///   - invalid scan spec        -> kRejected, fetches 0, InvalidArgument
   ///   - invalid/unknown handle   -> kFormulaFallback, NotFound
   ///   - quarantined entry        -> kFormulaFallback, Corruption
+  ///   - T = 0 or < 2 FPF knots   -> kFormulaFallback, FailedPrecondition
   ///   - otherwise                -> kLruFitCurve via the FPF model
   ///
   /// A probe never fails the batch; the returned Status is non-OK only

@@ -5,7 +5,7 @@
 #include <future>
 #include <utility>
 
-#include "buffer/parallel_stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "catalog/stats_catalog.h"
 #include "obs/metrics.h"
 #include "util/fault.h"
@@ -38,12 +38,11 @@ Result<ModelRange> DetermineRange(uint64_t table_pages,
 Result<SampledStackDistances> SimulateTrace(TraceSource& trace,
                                             const LruFitOptions& options) {
   StackDistanceOptions sd_options;
-  sd_options.num_shards = options.num_shards;
   sd_options.sampling.rate = options.sample_rate;
   sd_options.sampling.max_pages = options.sample_max_pages;
   sd_options.cancel = options.cancel;
   sd_options.deadline = options.deadline;
-  auto result = ComputeSampledStackDistances(trace, options.pool, sd_options);
+  auto result = ComputeSampledStackDistances(trace, sd_options);
   if (!result.ok() &&
       result.status().code() == StatusCode::kInvalidArgument) {
     return Status::InvalidArgument("LRU-Fit: empty index trace");
@@ -69,29 +68,15 @@ Status LruFitOptions::Validate() const {
     return Status::InvalidArgument(
         "LRU-Fit: sample_rate must be in (0, 1]");
   }
-  if (pool != nullptr && sample_max_pages > 0) {
-    // Fixed-size adaptive sampling evolves one global threshold as the
-    // trace reveals its working set; shards racing that threshold would
-    // sample different page subsets than the serial pass. The sharded
-    // path used to fall back to the serial kernel silently, turning a
-    // requested parallel run into a serial one with no sign why — reject
-    // the combination instead. RunLruFitBatch jobs are unaffected: the
-    // batch resets `pool` per job, and those jobs legitimately run the
-    // adaptive pass on the serial kernel.
-    return Status::InvalidArgument(
-        "LRU-Fit: sample_max_pages (fixed-size adaptive sampling) is "
-        "serial-only; unset options.pool or use fixed-rate sample_rate");
-  }
   return Status::Ok();
 }
 
 Result<std::vector<FpfPoint>> SampleFpfCurve(TraceSource& trace,
                                              uint64_t b_min, uint64_t b_max,
-                                             BufferSchedule schedule,
-                                             ThreadPool* pool) {
+                                             BufferSchedule schedule) {
   EPFIS_ASSIGN_OR_RETURN(std::vector<uint64_t> sizes,
                          MakeBufferSchedule(b_min, b_max, schedule));
-  auto histogram_or = ComputeStackDistances(trace, pool);
+  auto histogram_or = ComputeStackDistances(trace);
   if (!histogram_or.ok()) {
     if (histogram_or.status().code() == StatusCode::kInvalidArgument) {
       return Status::InvalidArgument("SampleFpfCurve: empty trace");
@@ -231,10 +216,8 @@ LruFitBatchResult RunLruFitBatch(std::vector<LruFitJob> jobs,
         if (job.trace == nullptr) {
           return Status::InvalidArgument("LRU-Fit batch: job has no trace");
         }
-        LruFitOptions options = job.options;
-        options.pool = nullptr;  // Jobs must not re-enter the batch pool.
         auto stats = RunLruFit(*job.trace, job.table_pages, job.distinct_keys,
-                               job.index_name, options);
+                               job.index_name, job.options);
         if (!stats.ok()) return stats.status();
         if (catalog != nullptr) catalog->Put(std::move(stats).value());
         return Status::Ok();
@@ -247,18 +230,16 @@ LruFitBatchResult RunLruFitBatch(std::vector<LruFitJob> jobs,
     }));
   }
   // Always drain every future — even after failures — so no task is left
-  // running against a destroyed LruFitJob. A job the pool never ran
-  // (shutdown cancelled it, or a bounded queue rejected it) resolves its
-  // future exceptionally; map those to the matching Status so callers see
-  // Cancelled/Unavailable per job instead of a batch-wide abort.
+  // running against a destroyed LruFitJob. A job the pool never ran (it
+  // was submitted while the pool was shutting down) resolves its future
+  // with TaskCancelledError; map it to Cancelled for that job instead of
+  // a batch-wide abort.
   for (size_t i = 0; i < futures.size(); ++i) {
     batch.statuses[i] = [&]() -> Status {
       try {
         return futures[i].get();
       } catch (const TaskCancelledError&) {
         return Status::Cancelled("LRU-Fit batch: job cancelled before start");
-      } catch (const PoolRejectedError&) {
-        return Status::Unavailable("LRU-Fit batch: pool queue full");
       }
     }();
     if (batch.statuses[i].ok()) ++batch.num_ok;

@@ -42,15 +42,6 @@ struct LruFitOptions {
   std::optional<uint64_t> b_min_override;
   std::optional<uint64_t> b_max_override;
 
-  /// When non-null, the stack simulation is sharded across this pool's
-  /// workers (bit-identical results; see ComputeStackDistances). Leave
-  /// null inside RunLruFitBatch jobs — the batch parallelizes across
-  /// indexes instead and resets this to avoid pool self-deadlock.
-  ThreadPool* pool = nullptr;
-
-  /// Trace shards when `pool` is set; 0 = one shard per pool worker.
-  size_t num_shards = 0;
-
   /// SHARDS spatial sampling of the statistics pass (DESIGN.md §10): keep
   /// a page's references iff its hash falls under `sample_rate`, run the
   /// exact simulation over that subset, rescale. Cuts the dominant
@@ -60,16 +51,13 @@ struct LruFitOptions {
 
   /// Fixed-size adaptive sampling: cap the sampled-page set at this many
   /// distinct pages, lowering the rate on the fly as the trace reveals
-  /// its working set (bounds memory, runs serial). 0 disables the cap.
-  /// Composable with `sample_rate` as the starting rate. Serial-only:
-  /// combining a non-zero cap with `pool` is an InvalidArgument (the
-  /// evolving threshold cannot be sharded); RunLruFitBatch jobs run it
-  /// on the serial kernel, parallelism coming from the jobs themselves.
+  /// its working set (bounds memory). 0 disables the cap. Composable
+  /// with `sample_rate` as the starting rate.
   uint64_t sample_max_pages = 0;
 
   /// Cooperative cancellation and wall-clock budget for the whole fit:
-  /// forwarded into the stack simulation (serial chunks, parallel shards,
-  /// and the streaming merge all poll) and checked again between phases.
+  /// checked before the fit starts and forwarded into the stack
+  /// simulation, which polls once per 64K-reference chunk.
   /// A fired token surfaces as Cancelled, an expired deadline as
   /// DeadlineExceeded; the defaults (null token, infinite deadline) keep
   /// completed runs bit-identical to an unguarded fit. In RunLruFitBatch
@@ -80,7 +68,7 @@ struct LruFitOptions {
 
   /// Checks the options for internal consistency: at least one segment,
   /// a non-zero B_sml, overrides with b_min_override <= b_max_override,
-  /// a sample rate in (0, 1], and no pool alongside sample_max_pages.
+  /// and a sample rate in (0, 1].
   /// RunLruFit calls this first, so option errors surface as
   /// InvalidArgument before any simulation work starts.
   Status Validate() const;
@@ -95,8 +83,8 @@ struct LruFitOptions {
 /// consumes.
 ///
 /// The trace is pulled in chunks from `trace` (vector-backed, file-backed,
-/// or online) and is never required to be resident in memory; with
-/// `options.pool` set the simulation itself runs sharded in parallel.
+/// or online) and is never required to be resident in memory. The pass is
+/// serial; RunLruFitBatch runs many indexes in parallel.
 ///
 /// `table_pages` is T (it may exceed the number of *accessed* pages if some
 /// pages hold no indexed records). The record count N is the trace length.
@@ -115,11 +103,9 @@ Result<IndexStats> RunLruFit(const std::vector<PageId>& trace,
 
 /// The raw sampled FPF points for the trace at the scheduled buffer sizes
 /// (before segment approximation); used by Figure 1 and the ablations.
-/// With `pool` set the underlying simulation is sharded.
 Result<std::vector<FpfPoint>> SampleFpfCurve(TraceSource& trace,
                                              uint64_t b_min, uint64_t b_max,
-                                             BufferSchedule schedule,
-                                             ThreadPool* pool = nullptr);
+                                             BufferSchedule schedule);
 
 /// Compatibility overload for in-memory traces.
 Result<std::vector<FpfPoint>> SampleFpfCurve(const std::vector<PageId>& trace,
@@ -149,10 +135,9 @@ struct LruFitBatchResult {
 /// production-shaped entry point — a periodic statistics daemon refreshing
 /// every index of a database is one RunLruFitBatch call.
 ///
-/// Per-job `options.pool` is ignored (reset to null): parallelism comes
-/// from running jobs concurrently, and a job blocking on sub-tasks of the
-/// same pool could deadlock it. Failed jobs leave the catalog untouched
-/// and report their error in the returned statuses.
+/// Parallelism comes from running jobs concurrently, one serial pass per
+/// index. Failed jobs leave the catalog untouched and report their error
+/// in the returned statuses.
 LruFitBatchResult RunLruFitBatch(std::vector<LruFitJob> jobs,
                                  ThreadPool& pool, StatsCatalog* catalog);
 

@@ -55,11 +55,6 @@ Status OnlineLruFitOptions::Validate() const {
         "online LRU-Fit: refresh_interval must be > 0");
   }
   EPFIS_RETURN_IF_ERROR(drift.Validate());
-  if (fit.pool != nullptr) {
-    return Status::InvalidArgument(
-        "online LRU-Fit: fit.pool must be null (the online kernel is the "
-        "serial streaming kernel)");
-  }
   LruFitOptions effective = fit;
   effective.sample_rate = sample_rate;
   effective.sample_max_pages = sample_max_pages;

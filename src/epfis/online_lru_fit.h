@@ -116,8 +116,7 @@ struct OnlineLruFitOptions {
   DriftDetectorOptions drift;
 
   /// Curve-fitting knobs shared with batch LRU-Fit (segments, criterion,
-  /// schedule, range overrides). `fit.pool` must stay null: the online
-  /// kernel is the serial streaming kernel by construction.
+  /// schedule, range overrides).
   LruFitOptions fit;
 
   /// Cooperative cancellation for the ingest loop: polled once per

@@ -135,9 +135,9 @@ Result<MmapTraceSource> MmapTraceSource::Open(const std::string& path) {
   // page-aligned mapping.
   const PageId* entries =
       reinterpret_cast<const PageId*>(bytes + kPageTraceHeaderSize);
-  // Consumption is one front-to-back pass (Next) or a sharded sweep that
-  // is sequential per worker: tell readahead so, and pull the first
-  // window in eagerly so the simulator's opening chunks never fault.
+  // Consumption is one front-to-back pass (Next): tell readahead so, and
+  // pull the first window in eagerly so the simulator's opening chunks
+  // never fault.
   // Purely advisory — failure changes nothing but timing.
 #ifdef MADV_SEQUENTIAL
   (void)::madvise(map, file_size, MADV_SEQUENTIAL);

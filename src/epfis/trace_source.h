@@ -41,8 +41,7 @@ class TraceSource {
   virtual Status Reset() = 0;
 
   /// Total reference count when known up front (used to pre-size the
-  /// simulators and to split shards evenly); nullopt for unbounded or
-  /// online sources.
+  /// simulators); nullopt for unbounded or online sources.
   virtual std::optional<uint64_t> size_hint() const { return std::nullopt; }
 };
 

@@ -196,7 +196,6 @@ struct UringTraceSource::Ring {
   // free sqe; no full-queue case exists.
   Status SubmitRead(uint64_t block, size_t buf_offset) {
     unsigned slot = static_cast<unsigned>(block % kQueueDepth);
-    SlotState& s = slots[slot];
     unsigned tail = *sq_tail;
     unsigned idx = tail & *sq_mask;
     struct io_uring_sqe* sqe = &sqes[idx];

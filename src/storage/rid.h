@@ -18,7 +18,14 @@ struct Rid {
   bool IsValid() const { return page_id != kInvalidPageId; }
 
   std::string ToString() const {
-    return "(" + std::to_string(page_id) + "," + std::to_string(slot) + ")";
+    // Appended piecewise: GCC 12 misreports `"(" + std::to_string(...)`
+    // under -Wrestrict.
+    std::string out = "(";
+    out += std::to_string(page_id);
+    out += ',';
+    out += std::to_string(slot);
+    out += ')';
+    return out;
   }
 
   friend bool operator==(const Rid& a, const Rid& b) {

@@ -173,8 +173,7 @@ inline constexpr const char* kAllFaultPoints[] = {
     "catalog.publish.swap", "trace.save.open",    "trace.save.write",
     "trace.open",           "trace.read.header",  "trace.read.body",
     "trace.mmap.map",       "trace.uring.setup",  "lru_fit.batch.job",
-    "sd.shard.task",        "sd.merge.step",      "est_io.lookup",
-    "online.refresh.emit",  "online.publish",
+    "est_io.lookup",        "online.refresh.emit", "online.publish",
 };
 
 #if EPFIS_FAULTS_ENABLED

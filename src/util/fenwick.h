@@ -19,17 +19,6 @@ class FenwickTree {
   /// Adds `delta` at position i. Precondition: i < size().
   void Add(size_t i, int64_t delta);
 
-  /// Add(from, -1) followed by Add(to, +1), with the two update walks
-  /// fused: both paths climb toward a common ancestor, and from the
-  /// meeting node upward the -1 and +1 cancel exactly, so the fused walk
-  /// stops there instead of climbing the whole tree twice. Tree contents
-  /// end up bit-identical to the two separate Adds (int64 point updates
-  /// are exact and commutative). The shard-merge pass moves a page's
-  /// single live bit with this on every last-access advance, where `from`
-  /// and `to` are usually close and the shared path is most of the tree.
-  /// Precondition: from, to < size(). from == to is a no-op.
-  void MovePair(size_t from, size_t to);
-
   /// Sum of positions [0, i]. Returns 0 for empty prefix semantics via
   /// PrefixSum(i) with i = npos handled by caller; i must be < size().
   int64_t PrefixSum(size_t i) const;

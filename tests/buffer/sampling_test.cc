@@ -6,12 +6,10 @@
 #include <limits>
 #include <vector>
 
-#include "buffer/parallel_stack_distance.h"
 #include "buffer/stack_distance.h"
 #include "buffer/stack_distance_kernel.h"
 #include "epfis/trace_source.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "util/zipf.h"
 
 namespace epfis {
@@ -216,59 +214,17 @@ TEST(SamplingTest, SampledChunkedAccessEqualsWholeTrace) {
   }
 }
 
-// Serial and sharded fixed-rate runs agree exactly for every shard count:
-// both accumulate the raw sampled-domain histogram over the same filtered
-// sub-trace and apply the same wrap-time rescale (realized page ratio
-// from the same first-touch bitmap), so the results are equal, not just
-// statistically close.
-TEST(SamplingTest, SerialAndParallelSampledRunsAgree) {
-  ThreadPool pool(3);
-  auto trace = ZipfTrace(25'000, 1'500, 0.86, 12);
-  for (double rate : {0.5, 0.1}) {
-    StackDistanceOptions serial_options;
-    serial_options.sampling.rate = rate;
-    VectorTraceSource serial_source = VectorTraceSource::View(trace);
-    auto serial =
-        ComputeSampledStackDistances(serial_source, nullptr, serial_options);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-    for (size_t shards : {2u, 3u, 5u, 13u}) {
-      StackDistanceOptions options;
-      options.num_shards = shards;
-      options.min_shard_refs = 1;
-      options.sampling.rate = rate;
-      VectorTraceSource source = VectorTraceSource::View(trace);
-      auto parallel = ComputeSampledStackDistances(source, &pool, options);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_TRUE(parallel->histogram == serial->histogram)
-          << "rate=" << rate << " shards=" << shards;
-      EXPECT_EQ(parallel->sampling.total_refs, serial->sampling.total_refs);
-      EXPECT_EQ(parallel->sampling.sampled_refs,
-                serial->sampling.sampled_refs);
-      EXPECT_EQ(parallel->sampling.exact_distinct,
-                serial->sampling.exact_distinct);
-      EXPECT_DOUBLE_EQ(parallel->sampling.effective_rate,
-                       serial->sampling.effective_rate);
-    }
-  }
-}
-
 // With sampling disabled the sampled entry point is the exact path plus
-// provenance, parallel included.
+// provenance.
 TEST(SamplingTest, DisabledSamplingMatchesExactEntryPoint) {
-  ThreadPool pool(2);
   auto trace = ZipfTrace(12'000, 800, 0.86, 13);
   StackDistanceHistogram exact = ExactHistogram(trace);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    StackDistanceOptions options;
-    options.min_shard_refs = 1;
-    VectorTraceSource source = VectorTraceSource::View(trace);
-    auto result = ComputeSampledStackDistances(source, p, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(result->histogram == exact);
-    EXPECT_FALSE(result->sampling.active());
-    EXPECT_EQ(result->accesses(), trace.size());
-  }
+  VectorTraceSource source = VectorTraceSource::View(trace);
+  auto result = ComputeSampledStackDistances(source);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->histogram == exact);
+  EXPECT_FALSE(result->sampling.active());
+  EXPECT_EQ(result->accesses(), trace.size());
 }
 
 TEST(SamplingTest, AdaptiveCapBoundsSampledPagesAndDropsThreshold) {
@@ -390,7 +346,6 @@ TEST(SamplingTest, SampledFpfCurveTracksExactCurve) {
 }
 
 TEST(SamplingTest, ErrorTaxonomy) {
-  ThreadPool pool(2);
   std::vector<PageId> empty;
   std::vector<PageId> tiny{1, 2, 3, 1};
 
@@ -399,7 +354,7 @@ TEST(SamplingTest, ErrorTaxonomy) {
     VectorTraceSource source = VectorTraceSource::View(empty);
     StackDistanceOptions options;
     options.sampling.rate = 0.5;
-    auto result = ComputeSampledStackDistances(source, nullptr, options);
+    auto result = ComputeSampledStackDistances(source, options);
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
 
@@ -408,7 +363,7 @@ TEST(SamplingTest, ErrorTaxonomy) {
     VectorTraceSource source = VectorTraceSource::View(tiny);
     StackDistanceOptions options;
     options.sampling.rate = bad;
-    auto result = ComputeSampledStackDistances(source, nullptr, options);
+    auto result = ComputeSampledStackDistances(source, options);
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
         << "rate=" << bad;
   }
@@ -418,7 +373,7 @@ TEST(SamplingTest, ErrorTaxonomy) {
     VectorTraceSource source = VectorTraceSource::View(tiny);
     StackDistanceOptions options;
     options.sampling.rate = 0.5;
-    auto result = ComputeStackDistances(source, &pool, options);
+    auto result = ComputeStackDistances(source, options);
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
 
@@ -437,7 +392,7 @@ TEST(SamplingTest, ErrorTaxonomy) {
     VectorTraceSource source = VectorTraceSource::View(unsampled);
     StackDistanceOptions options;
     options.sampling.rate = 1e-12;
-    auto result = ComputeSampledStackDistances(source, nullptr, options);
+    auto result = ComputeSampledStackDistances(source, options);
     EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   }
 }

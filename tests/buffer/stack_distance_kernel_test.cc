@@ -5,11 +5,9 @@
 #include <algorithm>
 #include <vector>
 
-#include "buffer/parallel_stack_distance.h"
 #include "buffer/stack_distance.h"
 #include "epfis/trace_source.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "util/zipf.h"
 
 namespace epfis {
@@ -160,32 +158,44 @@ TEST(StackDistanceKernelTest, ReReferenceOfTimeZeroPage) {
 }
 
 // The production entry point consumes the kernel through
-// ComputeStackDistances' serial path; pin that wiring with a
-// file-vs-legacy comparison across source types.
+// ComputeStackDistances' streaming loop; pin that wiring with a
+// source-vs-legacy comparison on a skewed trace.
 TEST(StackDistanceKernelTest, SerialComputeStackDistancesUsesKernelResult) {
   auto trace = ZipfTrace(30'000, 2'000, 0.86, 51);
   VectorTraceSource source = VectorTraceSource::View(trace);
-  auto histogram = ComputeStackDistances(source, nullptr);
+  auto histogram = ComputeStackDistances(source);
   ASSERT_TRUE(histogram.ok()) << histogram.status().ToString();
   EXPECT_TRUE(*histogram == LegacyHistogram(trace));
 }
 
-// Sharded parallel runs (which now use the flat-hash shard passes and
-// one-sided merge queries) must still match the legacy simulator for
-// all shard counts.
-TEST(StackDistanceKernelTest, ShardedRunsMatchLegacyAcrossShardCounts) {
-  ThreadPool pool(3);
-  auto trace = ZipfTrace(25'000, 1'500, 0.86, 61);
-  StackDistanceHistogram legacy = LegacyHistogram(trace);
-  for (size_t shards : {2u, 3u, 5u, 13u}) {
-    StackDistanceOptions options;
-    options.num_shards = shards;
-    options.min_shard_refs = 1;
-    VectorTraceSource source = VectorTraceSource::View(trace);
-    auto parallel = ComputeStackDistances(source, &pool, options);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_TRUE(*parallel == legacy) << "shards=" << shards;
-  }
+// The same wiring on a uniform trace. The name dates from when
+// ComputeStackDistances took an optional pool and null meant "run the
+// single-pass kernel"; the single pass is now the only path.
+TEST(ParallelStackDistanceTest, NullPoolMatchesSimulator) {
+  auto trace = UniformTrace(5'000, 200, 99);
+  VectorTraceSource source = VectorTraceSource::View(trace);
+  auto histogram = ComputeStackDistances(source);
+  ASSERT_TRUE(histogram.ok()) << histogram.status().ToString();
+  EXPECT_TRUE(*histogram == LegacyHistogram(trace));
+}
+
+TEST(StackDistanceKernelTest, EmptyTraceFails) {
+  std::vector<PageId> empty;
+  VectorTraceSource source = VectorTraceSource::View(empty);
+  auto histogram = ComputeStackDistances(source);
+  ASSERT_FALSE(histogram.ok());
+  EXPECT_EQ(histogram.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(StackDistanceHistogramTest, FetchesAtZeroBufferIsTotalReferences) {
+  // Regression: Fetches documents buffer_size >= 1; buffer_size == 0 must
+  // mean "no buffer", i.e. every access misses — not be treated as 1.
+  std::vector<PageId> trace{1, 1, 1, 2, 2, 1};
+  StackDistanceSimulator sim;
+  sim.AccessAll(trace);
+  EXPECT_EQ(sim.Fetches(0), trace.size());
+  EXPECT_EQ(sim.Fetches(1), 3u);  // 2 cold + the re-reference across page 2.
+  EXPECT_EQ(sim.histogram().Fetches(0), trace.size());
 }
 
 }  // namespace

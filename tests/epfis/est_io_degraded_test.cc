@@ -1,9 +1,12 @@
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "catalog/catalog_fixtures.h"
+#include "catalog/catalog_snapshot.h"
+#include "catalog/catalog_v3.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/est_io.h"
 #include "epfis/lru_fit.h"
@@ -151,6 +154,78 @@ TEST_F(EstIoDegradedTest, ScanValidationStillApplies) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// An entry the catalog stores and round-trips, but that carries no curve
+// to read PF_B from — a name-only import, or a shape with no knots — is
+// not a trusted estimate of 0 fetches: every serving path sends it to the
+// formula fallback and names the reason.
+TEST_F(EstIoDegradedTest, CurvelessEntriesFallBackOnEveryServingPath) {
+  IndexStats name_only;
+  name_only.index_name = "t.key";
+  IndexStats no_knots;
+  no_knots.index_name = "t.shape";
+  no_knots.table_pages = 150;
+  no_knots.table_records = 8000;
+  no_knots.pages_accessed = 150;
+  catalog_.Put(name_only);
+  catalog_.Put(no_knots);
+  ASSERT_TRUE(catalog_.Publish().ok());
+
+  std::string path = testing::TempDir() + "/epfis_curveless.v3";
+  ASSERT_TRUE(catalog_.SaveToFileV3(path).ok());
+  auto mapped = OpenCatalogSnapshotV3(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  std::remove(path.c_str());
+
+  double k = scan_.sigma * scan_.sargable_selectivity *
+             static_cast<double>(shape_.table_records);
+  double yao = YaoPages(static_cast<double>(shape_.table_records),
+                        static_cast<double>(shape_.table_pages), k);
+  ASSERT_GT(yao, 0.0);
+  auto expect_fallback = [&](const Result<CatalogEstimate>& est,
+                             const char* reason, const char* where) {
+    ASSERT_TRUE(est.ok()) << where << ": " << est.status().ToString();
+    EXPECT_EQ(est->source, EstimateSource::kFormulaFallback) << where;
+    EXPECT_EQ(est->stats_status.code(), StatusCode::kFailedPrecondition)
+        << where;
+    EXPECT_NE(est->stats_status.message().find(reason), std::string::npos)
+        << where << ": " << est->stats_status.ToString();
+    EXPECT_DOUBLE_EQ(est->fetches, yao) << where;
+  };
+  const std::shared_ptr<const CatalogSnapshot> published = catalog_.snapshot();
+  const struct {
+    const char* name;
+    const char* reason;
+  } cases[] = {{"t.key", "no table shape"}, {"t.shape", "no FPF curve"}};
+  for (const auto& c : cases) {
+    expect_fallback(EstIo::EstimateFromCatalog(catalog_, c.name, scan_, shape_),
+                    c.reason, "StatsCatalog");
+    expect_fallback(
+        EstIo::EstimateFromCatalog(*published, c.name, scan_, shape_),
+        c.reason, "published snapshot");
+    expect_fallback(
+        EstIo::EstimateFromCatalog(**mapped, c.name, scan_, shape_),
+        c.reason, "mmapped v3 snapshot");
+  }
+
+  // Batch: the curveless probes degrade, their healthy neighbour does not.
+  for (const CatalogSnapshot* snapshot : {published.get(), mapped->get()}) {
+    std::vector<BatchProbe> probes(3);
+    const char* names[] = {"t.key", "ix_good", "t.shape"};
+    for (size_t i = 0; i < probes.size(); ++i) {
+      probes[i].index = snapshot->Resolve(names[i]);
+      ASSERT_TRUE(probes[i].index.valid()) << names[i];
+      probes[i].scan = scan_;
+      probes[i].shape = shape_;
+    }
+    std::vector<CatalogEstimate> results(probes.size());
+    ASSERT_TRUE(EstIo::EstimateBatch(*snapshot, probes, results).ok());
+    expect_fallback(results[0], "no table shape", "batch");
+    expect_fallback(results[2], "no FPF curve", "batch");
+    EXPECT_EQ(results[1].source, EstimateSource::kLruFitCurve);
+    EXPECT_TRUE(results[1].stats_status.ok());
+  }
 }
 
 }  // namespace

@@ -79,14 +79,44 @@ TEST(RunLruFitBatchTest, BatchMatchesSerialCollection) {
                        serial->FullScanFetches(b));
     }
   }
+
+  // Fixed-rate sampled jobs: a pass on a pool worker, interleaved with
+  // other jobs, is bit-for-bit the same estimate as the same pass on the
+  // calling thread.
+  for (double rate : {0.5, 0.1}) {
+    StatsCatalog sampled_catalog;
+    LruFitOptions sampled;
+    sampled.sample_rate = rate;
+    std::vector<LruFitJob> sampled_jobs;
+    for (int i = 0; i < 4; ++i) {
+      LruFitJob job = MakeJob("sampled_" + std::to_string(i), 21 + i);
+      job.options = sampled;
+      sampled_jobs.push_back(std::move(job));
+    }
+    LruFitBatchResult result =
+        RunLruFitBatch(std::move(sampled_jobs), pool, &sampled_catalog);
+    EXPECT_TRUE(result.all_ok()) << "rate=" << rate;
+    for (int i = 0; i < 4; ++i) {
+      auto serial = RunLruFit(RandomTrace(8'000, 200, 21 + i), 200, 40,
+                              "sampled_" + std::to_string(i), sampled);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      auto batched = sampled_catalog.Get("sampled_" + std::to_string(i));
+      ASSERT_TRUE(batched.ok());
+      EXPECT_LT(serial->sampled_refs, serial->table_records);
+      EXPECT_EQ(batched->sampled_refs, serial->sampled_refs);
+      EXPECT_EQ(batched->sample_rate, serial->sample_rate);
+      for (double b : {12.0, 60.0, 200.0}) {
+        EXPECT_EQ(batched->FullScanFetches(b), serial->FullScanFetches(b))
+            << "rate=" << rate << " job=" << i << " b=" << b;
+      }
+    }
+  }
 }
 
 TEST(RunLruFitBatchTest, AdaptiveSamplingJobsRouteToSerialKernel) {
-  // Batch jobs may legitimately request fixed-size adaptive sampling even
-  // though the combination pool + sample_max_pages is an InvalidArgument
-  // for direct RunLruFit calls: the batch resets `pool` per job, so each
-  // job runs the adaptive pass on the serial kernel, bit-identical to a
-  // serial RunLruFit with the same options.
+  // Batch jobs may request fixed-size adaptive sampling: each job runs the
+  // adaptive pass on the serial kernel, bit-identical to a serial
+  // RunLruFit with the same options.
   ThreadPool pool(3);
   StatsCatalog catalog;
   LruFitOptions adaptive;

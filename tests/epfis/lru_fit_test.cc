@@ -7,7 +7,6 @@
 
 #include "buffer/lru_simulator.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace epfis {
 namespace {
@@ -38,28 +37,6 @@ TEST(LruFitTest, RejectsZeroSegments) {
   LruFitOptions options;
   options.num_segments = 0;
   EXPECT_FALSE(RunLruFit({1, 2, 3}, 10, 3, "x", options).ok());
-}
-
-TEST(LruFitTest, AdaptiveSamplingWithPoolIsInvalidArgument) {
-  // Regression: this combination used to *silently* fall back to the
-  // serial kernel (parallel_stack_distance.cc routes adaptive runs
-  // serial); now the option mix is rejected up front so nobody asks for a
-  // sharded run and unknowingly gets a serial one.
-  ThreadPool pool(2);
-  LruFitOptions options;
-  options.pool = &pool;
-  options.sample_max_pages = 64;
-  EXPECT_FALSE(options.Validate().ok());
-  auto stats = RunLruFit({1, 2, 3, 1, 2, 3}, 10, 3, "x", options);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
-
-  // Each knob alone stays valid: adaptive-serial and sharded-exact.
-  options.pool = nullptr;
-  EXPECT_TRUE(options.Validate().ok());
-  options.pool = &pool;
-  options.sample_max_pages = 0;
-  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(LruFitTest, ClusteredIndexHasCOne) {
