@@ -42,7 +42,7 @@
 #include "util/arg_parser.h"
 #include "util/random.h"
 #include "util/table_printer.h"
-#include "util/zipf.h"
+#include "workload/data_gen.h"
 
 using namespace epfis;
 
@@ -52,18 +52,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-std::vector<PageId> MakeZipfTrace(uint64_t refs, uint64_t pages,
-                                  double theta, uint64_t seed) {
-  Rng rng(seed);
-  ZipfDistribution zipf = ZipfDistribution::Make(pages, theta).value();
-  std::vector<PageId> trace;
-  trace.reserve(refs);
-  for (uint64_t i = 0; i < refs; ++i) {
-    trace.push_back(static_cast<PageId>(zipf.Sample(rng) - 1));
-  }
-  return trace;
 }
 
 // Median, min and max of one variant's repetition times.
@@ -119,7 +107,8 @@ int main(int argc, char** argv) {
             << '\n';
   std::cout << "generating Zipf(" << theta << ") trace: " << refs
             << " refs over " << pages << " pages...\n";
-  std::vector<PageId> trace = MakeZipfTrace(refs, pages, theta, seed);
+  Rng rng(seed);
+  std::vector<PageId> trace = ZipfPageTrace(refs, pages, theta, rng).value();
   auto mrefs = [refs](double seconds) {
     return static_cast<double>(refs) / seconds / 1e6;
   };

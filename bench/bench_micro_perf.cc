@@ -12,6 +12,8 @@
 //    iteration, LRU pool bookkeeping, the simulated disk read and record
 //    verification (BM_IndexScan*, BM_DiskReadPage; see DESIGN.md).
 //  * Piecewise-linear fitting — the once-per-index statistics cost.
+//  * ZipfDistribution::Sample — one draw per reference of every Zipf
+//    trace the benches, tests and perfbench generate.
 
 #include <benchmark/benchmark.h>
 
@@ -30,6 +32,7 @@
 #include "storage/disk_manager.h"
 #include "util/piecewise.h"
 #include "util/random.h"
+#include "util/zipf.h"
 #include "workload/data_gen.h"
 
 namespace epfis {
@@ -97,6 +100,18 @@ void BM_LruFitFullRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_LruFitFullRun)->Arg(1 << 14)->Arg(1 << 17);
+
+// One Zipf(0.86) draw over n = range(0) ranks: the guide-table inverse
+// CDF (DESIGN.md §4). Trace generation is this loop plus a store.
+void BM_ZipfSample(benchmark::State& state) {
+  ZipfDistribution zipf =
+      ZipfDistribution::Make(static_cast<uint64_t>(state.range(0)), 0.86)
+          .value();
+  Rng rng(23);
+  for (auto _ : state) benchmark::DoNotOptimize(zipf.Sample(rng));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfSample)->Arg(20'000)->Arg(200'000);
 
 void BM_EstIo(benchmark::State& state) {
   auto trace = RandomTrace(1 << 15, 1024, 19);

@@ -57,25 +57,13 @@
 #include "util/arg_parser.h"
 #include "util/random.h"
 #include "util/table_printer.h"
-#include "util/zipf.h"
+#include "workload/data_gen.h"
 
 using namespace epfis;
 
 namespace {
 
 constexpr const char* kIndexName = "online_ix.key";
-
-std::vector<PageId> ZipfPhase(size_t refs, uint64_t pages, double theta,
-                              uint64_t rotate, Rng& rng) {
-  auto zipf = ZipfDistribution::Make(pages, theta);
-  std::vector<PageId> trace;
-  trace.reserve(refs);
-  for (size_t i = 0; i < refs; ++i) {
-    uint64_t rank = zipf->Sample(rng) - 1;  // 0-based hotness rank.
-    trace.push_back(static_cast<PageId>((rank + rotate) % pages));
-  }
-  return trace;
-}
 
 // Mean relative error of `got` against `want` over an even sweep of
 // `want`'s knot range.
@@ -121,9 +109,10 @@ int main(int argc, char** argv) {
   }
 
   Rng rng(seed);
-  std::vector<PageId> phase1 = ZipfPhase(phase_refs, pages, theta_a, 0, rng);
+  std::vector<PageId> phase1 =
+      ZipfPageTrace(phase_refs, pages, theta_a, rng).value();
   std::vector<PageId> phase2 =
-      ZipfPhase(phase_refs, pages, theta_b, pages / 2, rng);
+      ZipfPageTrace(phase_refs, pages, theta_b, rng, pages / 2).value();
 
   // Ground truth for the post-shift stream: an exact batch fit of phase 2
   // alone (the curve a fresh offline LRU-Fit run would publish).

@@ -41,7 +41,7 @@
 #include "util/arg_parser.h"
 #include "util/random.h"
 #include "util/table_printer.h"
-#include "util/zipf.h"
+#include "workload/data_gen.h"
 
 using namespace epfis;
 
@@ -51,18 +51,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-std::vector<PageId> MakeZipfTrace(uint64_t refs, uint64_t pages,
-                                  double theta, uint64_t seed) {
-  Rng rng(seed);
-  ZipfDistribution zipf = ZipfDistribution::Make(pages, theta).value();
-  std::vector<PageId> trace;
-  trace.reserve(refs);
-  for (uint64_t i = 0; i < refs; ++i) {
-    trace.push_back(static_cast<PageId>(zipf.Sample(rng) - 1));
-  }
-  return trace;
 }
 
 std::vector<double> ParseRates(const std::string& text) {
@@ -124,7 +112,8 @@ int main(int argc, char** argv) {
 
   std::cout << "generating Zipf(" << theta << ") trace: " << refs
             << " refs over " << pages << " pages...\n";
-  std::vector<PageId> trace = MakeZipfTrace(refs, pages, theta, seed);
+  Rng rng(seed);
+  std::vector<PageId> trace = ZipfPageTrace(refs, pages, theta, rng).value();
   std::vector<uint64_t> sweep = BufferSweep(pages);
 
   double exact_s = 0;

@@ -47,14 +47,4 @@ void FenwickTree::Resize(size_t n) {
   }
 }
 
-void FenwickTree::AssignPrefixOnes(size_t ones, size_t n) {
-  tree_.assign(n + 1, 0);
-  for (size_t i = 1; i <= ones; ++i) tree_[i] = 1;
-  // Standard O(n) bottom-up build: fold each node into its parent.
-  for (size_t i = 1; i <= n; ++i) {
-    size_t parent = i + (i & (~i + 1));
-    if (parent <= n) tree_[parent] += tree_[i];
-  }
-}
-
 }  // namespace epfis

@@ -1,6 +1,7 @@
 #include "util/zipf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -9,6 +10,9 @@ namespace epfis {
 Result<ZipfDistribution> ZipfDistribution::Make(uint64_t n, double theta) {
   if (n == 0) {
     return Status::InvalidArgument("ZipfDistribution: n must be positive");
+  }
+  if (n > (uint64_t{1} << 32)) {
+    return Status::InvalidArgument("ZipfDistribution: n must be at most 2^32");
   }
   if (theta < 0.0 || !std::isfinite(theta)) {
     return Status::InvalidArgument(
@@ -22,21 +26,42 @@ Result<ZipfDistribution> ZipfDistribution::Make(uint64_t n, double theta) {
   }
   for (double& c : cdf) c /= acc;
   cdf[n - 1] = 1.0;  // Guard against rounding.
-  return ZipfDistribution(n, theta, std::move(cdf));
+
+  // Guide table in one merge pass over the sorted CDF and the bucket
+  // boundaries j/m. m is a power of two, so every j/m is exact; the scan
+  // stops by index n-1 at the latest because cdf[n-1] == 1 >= j/m.
+  const uint64_t m = std::bit_ceil(n);
+  const double inv_m = 1.0 / static_cast<double>(m);
+  std::vector<uint32_t> guide(m + 1);
+  uint64_t i = 0;
+  for (uint64_t j = 0; j <= m; ++j) {
+    const double boundary = static_cast<double>(j) * inv_m;
+    while (cdf[i] < boundary) ++i;
+    guide[j] = static_cast<uint32_t>(i);
+  }
+  return ZipfDistribution(n, theta, std::move(cdf), std::move(guide));
 }
 
 ZipfDistribution::ZipfDistribution(uint64_t n, double theta,
-                                   std::vector<double> cdf)
-    : n_(n), theta_(theta), cdf_(std::move(cdf)) {}
+                                   std::vector<double> cdf,
+                                   std::vector<uint32_t> guide)
+    : n_(n), theta_(theta), cdf_(std::move(cdf)), guide_(std::move(guide)) {}
 
 double ZipfDistribution::Pmf(uint64_t i) const {
   double prev = (i >= 2) ? cdf_[i - 2] : 0.0;
   return cdf_[i - 1] - prev;
 }
 
-uint64_t ZipfDistribution::Sample(Rng& rng) const {
-  double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+uint64_t ZipfDistribution::RankAt(double u) const {
+  // u * m is exact (m is a power of two), so j/m <= u < (j+1)/m. Every
+  // CDF entry before guide_[j] is < j/m <= u, and cdf_[guide_[j+1]] >=
+  // (j+1)/m > u, so the global lower_bound lies in [guide_[j],
+  // guide_[j+1]]; searching the half-open range returns guide_[j+1]
+  // itself when no earlier entry qualifies.
+  const uint64_t j =
+      static_cast<uint64_t>(u * static_cast<double>(guide_.size() - 1));
+  auto it = std::lower_bound(cdf_.begin() + guide_[j],
+                             cdf_.begin() + guide_[j + 1], u);
   return static_cast<uint64_t>(it - cdf_.begin()) + 1;
 }
 

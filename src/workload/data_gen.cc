@@ -195,6 +195,22 @@ Result<std::unique_ptr<Dataset>> MaterializeDataset(
   return dataset;
 }
 
+Result<std::vector<PageId>> ZipfPageTrace(uint64_t refs, uint64_t pages,
+                                          double theta, Rng& rng,
+                                          uint64_t rotate) {
+  EPFIS_ASSIGN_OR_RETURN(ZipfDistribution zipf,
+                         ZipfDistribution::Make(pages, theta));
+  rotate %= pages;
+  std::vector<PageId> trace;
+  trace.reserve(refs);
+  for (uint64_t i = 0; i < refs; ++i) {
+    uint64_t page = zipf.Sample(rng) - 1 + rotate;
+    if (page >= pages) page -= pages;
+    trace.push_back(static_cast<PageId>(page));
+  }
+  return trace;
+}
+
 Result<std::unique_ptr<Dataset>> GenerateSynthetic(const SyntheticSpec& spec) {
   EPFIS_ASSIGN_OR_RETURN(Placement placement, GeneratePlacement(spec));
   return MaterializeDataset(spec, placement);

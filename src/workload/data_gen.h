@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "util/random.h"
 #include "workload/dataset.h"
 
 namespace epfis {
@@ -66,6 +67,14 @@ std::vector<PageId> PlacementTrace(const Placement& placement);
 /// a bulk-loaded B-tree.
 Result<std::unique_ptr<Dataset>> MaterializeDataset(
     const SyntheticSpec& spec, const Placement& placement);
+
+/// A page-reference trace of `refs` independent Zipf(theta) draws over
+/// `pages` pages: each reference is page (rank - 1 + rotate) mod pages, so
+/// with rotate = 0 page 0 is the hottest. Consumes exactly one
+/// rng.NextDouble() per reference. Fails as ZipfDistribution::Make does.
+Result<std::vector<PageId>> ZipfPageTrace(uint64_t refs, uint64_t pages,
+                                          double theta, Rng& rng,
+                                          uint64_t rotate = 0);
 
 /// GeneratePlacement + MaterializeDataset.
 Result<std::unique_ptr<Dataset>> GenerateSynthetic(const SyntheticSpec& spec);

@@ -10,7 +10,7 @@
 #include "buffer/stack_distance_kernel.h"
 #include "epfis/trace_source.h"
 #include "util/random.h"
-#include "util/zipf.h"
+#include "workload/data_gen.h"
 
 namespace epfis {
 namespace {
@@ -21,18 +21,6 @@ std::vector<PageId> UniformTrace(size_t refs, uint32_t pages, uint64_t seed) {
   trace.reserve(refs);
   for (size_t i = 0; i < refs; ++i) {
     trace.push_back(static_cast<PageId>(rng.NextBounded(pages)));
-  }
-  return trace;
-}
-
-std::vector<PageId> ZipfTrace(size_t refs, uint64_t pages, double theta,
-                              uint64_t seed) {
-  Rng rng(seed);
-  ZipfDistribution zipf = ZipfDistribution::Make(pages, theta).value();
-  std::vector<PageId> trace;
-  trace.reserve(refs);
-  for (size_t i = 0; i < refs; ++i) {
-    trace.push_back(static_cast<PageId>(zipf.Sample(rng) - 1));
   }
   return trace;
 }
@@ -82,7 +70,8 @@ TEST(SamplingTest, ThresholdForRateEdges) {
 // compaction schedules).
 TEST(SamplingTest, RateOneIsBitIdenticalToExactKernel) {
   auto uniform = UniformTrace(10'000, 300, 7);
-  auto zipf = ZipfTrace(10'000, 500, 0.86, 8);
+  Rng rng(8);
+  auto zipf = ZipfPageTrace(10'000, 500, 0.86, rng).value();
   for (const auto& trace : {uniform, zipf}) {
     StackDistanceHistogram exact = ExactHistogram(trace);
     for (size_t window : {size_t{0}, size_t{2}, size_t{7}, size_t{64}}) {
@@ -110,7 +99,8 @@ TEST(SamplingTest, RateOneIsBitIdenticalToExactKernel) {
 // the run must also be bit-identical — including when tiny windows force
 // compactions mid-trace.
 TEST(SamplingTest, AdaptiveCapAboveDistinctIsBitIdentical) {
-  auto trace = ZipfTrace(8'000, 400, 0.86, 9);
+  Rng rng(9);
+  auto trace = ZipfPageTrace(8'000, 400, 0.86, rng).value();
   StackDistanceHistogram exact = ExactHistogram(trace);
   uint64_t distinct = exact.distinct_pages();
   for (uint64_t cap : {distinct, distinct + 1, distinct * 10}) {
@@ -139,7 +129,8 @@ TEST(SamplingTest, AdaptiveCapAboveDistinctIsBitIdentical) {
 // sampled distinct count K. No statistical tolerance — the filter is
 // deterministic, so both equalities are exact.
 TEST(SamplingTest, FixedRateMatchesPrefilteredExactKernel) {
-  auto trace = ZipfTrace(20'000, 1'000, 0.86, 10);
+  Rng rng(10);
+  auto trace = ZipfPageTrace(20'000, 1'000, 0.86, rng).value();
   uint64_t true_distinct = ExactHistogram(trace).distinct_pages();
   for (double rate : {0.5, 0.25, 0.05}) {
     uint64_t threshold = SampleThresholdForRate(rate);
@@ -184,7 +175,8 @@ TEST(SamplingTest, FixedRateMatchesPrefilteredExactKernel) {
 // separate filter loops in AccessAll, so both are pinned here; the
 // adaptive input is large enough that the eviction path actually runs.
 TEST(SamplingTest, SampledChunkedAccessEqualsWholeTrace) {
-  auto trace = ZipfTrace(8'192, 600, 0.86, 11);
+  Rng rng(11);
+  auto trace = ZipfPageTrace(8'192, 600, 0.86, rng).value();
   SamplingOptions fixed_rate;
   fixed_rate.rate = 0.2;
   SamplingOptions adaptive;
@@ -217,7 +209,8 @@ TEST(SamplingTest, SampledChunkedAccessEqualsWholeTrace) {
 // With sampling disabled the sampled entry point is the exact path plus
 // provenance.
 TEST(SamplingTest, DisabledSamplingMatchesExactEntryPoint) {
-  auto trace = ZipfTrace(12'000, 800, 0.86, 13);
+  Rng rng(13);
+  auto trace = ZipfPageTrace(12'000, 800, 0.86, rng).value();
   StackDistanceHistogram exact = ExactHistogram(trace);
   VectorTraceSource source = VectorTraceSource::View(trace);
   auto result = ComputeSampledStackDistances(source);
@@ -269,7 +262,8 @@ TEST(SamplingTest, AdaptiveCapBoundsSampledPagesAndDropsThreshold) {
 // at N and the clustering statistic LRU-Fit derives from it clamped to
 // zero even at generous caps.
 TEST(SamplingTest, AdaptiveEstimatesAreSelfNormalized) {
-  auto trace = ZipfTrace(200'000, 10'000, 0.86, 18);
+  Rng rng(18);
+  auto trace = ZipfPageTrace(200'000, 10'000, 0.86, rng).value();
   StackDistanceHistogram exact = ExactHistogram(trace);
   SamplingOptions options;
   options.max_pages = 2'048;
@@ -315,7 +309,8 @@ TEST(SamplingTest, AdaptiveComposesWithStartingRate) {
 // bench gate covers the R=0.01 regime on the full 10M-ref trace). The
 // sampling hash is deterministic, so this bound cannot flake.
 TEST(SamplingTest, SampledFpfCurveTracksExactCurve) {
-  auto trace = ZipfTrace(500'000, 50'000, 0.86, 16);
+  Rng rng(16);
+  auto trace = ZipfPageTrace(500'000, 50'000, 0.86, rng).value();
   StackDistanceHistogram exact = ExactHistogram(trace);
 
   SamplingOptions options;
@@ -401,7 +396,8 @@ TEST(SamplingTest, ErrorTaxonomy) {
 // trace at a tiny rate must still work from a small initial table — this
 // exercises the `expected_refs * rate` sizing path end to end.
 TEST(SamplingTest, PreSizingUnderSamplingStaysCorrect) {
-  auto trace = ZipfTrace(30'000, 2'000, 0.86, 17);
+  Rng rng(17);
+  auto trace = ZipfPageTrace(30'000, 2'000, 0.86, rng).value();
   SamplingOptions options;
   options.rate = 0.01;
   StackDistanceKernel small_hint(trace.size(), 0, options);

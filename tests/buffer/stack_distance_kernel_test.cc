@@ -8,7 +8,7 @@
 #include "buffer/stack_distance.h"
 #include "epfis/trace_source.h"
 #include "util/random.h"
-#include "util/zipf.h"
+#include "workload/data_gen.h"
 
 namespace epfis {
 namespace {
@@ -47,18 +47,6 @@ std::vector<PageId> UniformTrace(size_t refs, uint32_t pages, uint64_t seed) {
   return trace;
 }
 
-std::vector<PageId> ZipfTrace(size_t refs, uint64_t pages, double theta,
-                              uint64_t seed) {
-  Rng rng(seed);
-  ZipfDistribution zipf = ZipfDistribution::Make(pages, theta).value();
-  std::vector<PageId> trace;
-  trace.reserve(refs);
-  for (size_t i = 0; i < refs; ++i) {
-    trace.push_back(static_cast<PageId>(zipf.Sample(rng) - 1));
-  }
-  return trace;
-}
-
 TEST(StackDistanceKernelTest, MatchesLegacyOnUniformTraces) {
   for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     ExpectKernelMatchesLegacy(UniformTrace(20'000, 500, seed));
@@ -67,7 +55,8 @@ TEST(StackDistanceKernelTest, MatchesLegacyOnUniformTraces) {
 
 TEST(StackDistanceKernelTest, MatchesLegacyOnZipfTraces) {
   for (uint64_t seed : {11ULL, 12ULL}) {
-    ExpectKernelMatchesLegacy(ZipfTrace(20'000, 1'000, 0.86, seed));
+    Rng rng(seed);
+    ExpectKernelMatchesLegacy(ZipfPageTrace(20'000, 1'000, 0.86, rng).value());
   }
 }
 
@@ -91,7 +80,8 @@ TEST(StackDistanceKernelTest, MatchesLegacyAcrossCompactionBoundaries) {
   // Tiny windows force a compaction every few references, so distances
   // are constantly computed on a freshly remapped time axis.
   auto uniform = UniformTrace(10'000, 300, 21);
-  auto zipf = ZipfTrace(10'000, 500, 0.86, 22);
+  Rng rng(22);
+  auto zipf = ZipfPageTrace(10'000, 500, 0.86, rng).value();
   for (size_t window : {2u, 3u, 7u, 64u, 1024u}) {
     ExpectKernelMatchesLegacy(uniform, window);
     ExpectKernelMatchesLegacy(zipf, window);
@@ -120,7 +110,8 @@ TEST(StackDistanceKernelTest, CompactionBoundsTheTimeAxis) {
 }
 
 TEST(StackDistanceKernelTest, ChunkedAccessAllEqualsWholeTrace) {
-  auto trace = ZipfTrace(8'192, 400, 0.86, 41);
+  Rng rng(41);
+  auto trace = ZipfPageTrace(8'192, 400, 0.86, rng).value();
   StackDistanceKernel whole(trace.size());
   whole.AccessAll(trace);
   StackDistanceKernel chunked(/*expected_refs=*/16, /*window_hint=*/32);
@@ -161,7 +152,8 @@ TEST(StackDistanceKernelTest, ReReferenceOfTimeZeroPage) {
 // ComputeStackDistances' streaming loop; pin that wiring with a
 // source-vs-legacy comparison on a skewed trace.
 TEST(StackDistanceKernelTest, SerialComputeStackDistancesUsesKernelResult) {
-  auto trace = ZipfTrace(30'000, 2'000, 0.86, 51);
+  Rng rng(51);
+  auto trace = ZipfPageTrace(30'000, 2'000, 0.86, rng).value();
   VectorTraceSource source = VectorTraceSource::View(trace);
   auto histogram = ComputeStackDistances(source);
   ASSERT_TRUE(histogram.ok()) << histogram.status().ToString();

@@ -102,27 +102,5 @@ TEST(FenwickTest, ResizePreservesRandomContents) {
   }
 }
 
-TEST(FenwickTest, AssignPrefixOnesBuildsDensePrefix) {
-  FenwickTree tree(4);
-  tree.Add(2, 9);  // Old contents must be discarded.
-  for (size_t ones : {0u, 1u, 5u, 12u}) {
-    tree.AssignPrefixOnes(ones, 12);
-    EXPECT_EQ(tree.size(), 12u);
-    EXPECT_EQ(tree.Total(), static_cast<int64_t>(ones)) << ones;
-    for (size_t i = 0; i < 12; ++i) {
-      EXPECT_EQ(tree.RangeSum(i, i), i < ones ? 1 : 0)
-          << "ones=" << ones << " i=" << i;
-      EXPECT_EQ(tree.PrefixSum(i),
-                static_cast<int64_t>(std::min(i + 1, ones)))
-          << "ones=" << ones << " i=" << i;
-    }
-    // Updates after the bulk build behave like ordinary Adds.
-    if (ones > 0) {
-      tree.Add(0, -1);
-      EXPECT_EQ(tree.Total(), static_cast<int64_t>(ones) - 1);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace epfis

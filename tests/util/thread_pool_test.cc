@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -94,6 +96,51 @@ TEST(ThreadPoolShutdownTest, DrainingDestructorStillRunsEverything) {
     for (int i = 0; i < 50; ++i) pool.Submit([&ran] { ++ran; });
   }
   EXPECT_EQ(ran.load(), 50);
+}
+
+// Submit racing destruction: a task running on the pool's only worker
+// waits until the owner is about to destroy the pool, then submits until
+// a future comes back cancelled. With the only worker busy, a queued task
+// cannot be ready yet, so a ready future is exactly a refused one. Every
+// task queued before the refusal must still run during the drain. How
+// many submits land before the destructor sets its stop flag varies from
+// run to run; the outcome does not.
+TEST(ThreadPoolShutdownTest, SubmitDuringDestructionIsCancelledAfterDrain) {
+  auto pool = std::make_unique<ThreadPool>(1);
+  ThreadPool* raw = pool.get();  // unique_ptr::reset nulls `pool` first.
+  std::promise<void> running;
+  std::promise<void> destroying;
+  std::shared_future<void> destroying_signal =
+      destroying.get_future().share();
+  std::vector<std::future<int>> accepted;  // Written only by the task.
+  std::future<int> refused;
+  std::future<void> submitter = raw->Submit([&] {
+    for (int i = 0; i < 3; ++i) accepted.push_back(raw->Submit([i] {
+      return i;
+    }));
+    running.set_value();
+    destroying_signal.wait();
+    for (;;) {
+      int next = static_cast<int>(accepted.size());
+      std::future<int> f = raw->Submit([next] { return next; });
+      if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+        refused = std::move(f);
+        return;
+      }
+      accepted.push_back(std::move(f));
+    }
+  });
+  running.get_future().wait();
+  destroying.set_value();
+  pool.reset();  // Drains the queue and joins the worker.
+
+  submitter.get();
+  ASSERT_TRUE(refused.valid());
+  EXPECT_THROW(refused.get(), TaskCancelledError);
+  ASSERT_GE(accepted.size(), 3u);
+  for (size_t i = 0; i < accepted.size(); ++i) {
+    EXPECT_EQ(accepted[i].get(), static_cast<int>(i));
+  }
 }
 
 }  // namespace

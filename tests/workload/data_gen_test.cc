@@ -5,6 +5,7 @@
 #include <numeric>
 #include <set>
 
+#include "util/zipf.h"
 #include "workload/gwl.h"
 
 namespace epfis {
@@ -147,6 +148,29 @@ TEST(PlacementTraceTest, MatchesRecordOrder) {
   for (size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(trace[i], placement->page_of_record[i]);
   }
+}
+
+// ZipfPageTrace is rank - 1 per Sample draw, rotated mod pages, with one
+// NextDouble per reference; bad shapes fail instead of aborting.
+TEST(ZipfPageTraceTest, IsRotatedSampleStream) {
+  const uint64_t pages = 500;
+  auto zipf = ZipfDistribution::Make(pages, 0.86);
+  ASSERT_TRUE(zipf.ok());
+  for (uint64_t rotate : {uint64_t{0}, uint64_t{250}, pages + 3}) {
+    Rng rng(7);
+    auto trace = ZipfPageTrace(10'000, pages, 0.86, rng, rotate);
+    ASSERT_TRUE(trace.ok());
+    ASSERT_EQ(trace->size(), 10'000u);
+    Rng expected_rng(7);
+    for (PageId page : *trace) {
+      uint64_t rank = zipf->Sample(expected_rng);
+      ASSERT_EQ(page, (rank - 1 + rotate) % pages) << "rotate=" << rotate;
+    }
+    EXPECT_EQ(rng.NextUint64(), expected_rng.NextUint64());
+  }
+  Rng rng(1);
+  EXPECT_FALSE(ZipfPageTrace(10, 0, 0.86, rng).ok());
+  EXPECT_FALSE(ZipfPageTrace(10, 100, -1.0, rng).ok());
 }
 
 TEST(MaterializeDatasetTest, DatasetMatchesPlacement) {
